@@ -140,17 +140,17 @@ let decode_cmd =
   let protect_arg =
     let doc =
       "Wrap the scheme in protected block framing first: $(b,none), \
-       $(b,crc8) or $(b,crc16).  Framed images split at exact frame \
-       boundaries (strategy $(b,frames))."
+       $(b,crc8) or $(b,crc16).  Each block then carries a length field \
+       and a CRC guard word that the decode checks."
     in
     Arg.(value & opt string "none" & info [ "protect" ] ~docv:"MODE" ~doc)
   in
   let jobs_arg =
     let doc =
       "Worker domains for the chunked decode (default: CCCS_JOBS).  The \
-       effective count is clamped to the machine's cores and degrades to \
-       1 when the scheme has no splitting certificate — parallel decode \
-       never loses to sequential."
+       effective count is clamped to the machine's cores, and an image \
+       too small to split decodes in one chunk — parallel decode never \
+       loses to sequential."
     in
     Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
   in
@@ -196,9 +196,6 @@ let decode_cmd =
       Tepic.Program.baseline_image
         r.Cccs.Workload_run.compiled.Cccs.Pipeline.program
     in
-    (* Warm the splitting certificate (one-time DFA analysis, memoized)
-       so the reported throughput measures the decode itself. *)
-    ignore (Cccs.Par_decode.classify sc);
     let t0 = Unix.gettimeofday () in
     match Cccs.Pipeline.decompress ?jobs ?obs sc with
     | Error e ->
@@ -232,18 +229,9 @@ let decode_cmd =
                     ("bench", Cccs_obs.Json.Str bench);
                     ("scheme", Cccs_obs.Json.Str sc.Encoding.Scheme.name);
                     ("protection", Cccs_obs.Json.Str protect);
-                    ( "strategy",
-                      Cccs_obs.Json.Str
-                        (Cccs.Par_decode.strategy_name
-                           rep.Cccs.Par_decode.strategy) );
                     ("jobs", Cccs_obs.Json.int rep.Cccs.Par_decode.jobs);
                     ("cores", Cccs_obs.Json.int (Cccs.Parallel.cores ()));
                     ("chunks", Cccs_obs.Json.int rep.Cccs.Par_decode.chunks);
-                    ( "min_chunk_bits",
-                      Cccs_obs.Json.int rep.Cccs.Par_decode.min_chunk_bits );
-                    ( "resync_overhead_bits",
-                      Cccs_obs.Json.int
-                        rep.Cccs.Par_decode.resync_overhead_bits );
                     ( "compressed_bytes",
                       Cccs_obs.Json.int (String.length sc.Encoding.Scheme.image)
                     );
@@ -255,14 +243,9 @@ let decode_cmd =
         else begin
           Printf.printf "workload       %s\n" bench;
           Printf.printf "scheme         %s\n" sc.Encoding.Scheme.name;
-          Printf.printf "strategy       %s\n"
-            (Cccs.Par_decode.strategy_to_string rep.Cccs.Par_decode.strategy);
           Printf.printf "jobs           %d (of %d core(s))\n"
             rep.Cccs.Par_decode.jobs (Cccs.Parallel.cores ());
-          Printf.printf "chunks         %d (floor %d bits/chunk)\n"
-            rep.Cccs.Par_decode.chunks rep.Cccs.Par_decode.min_chunk_bits;
-          Printf.printf "resync bound   %d bits speculative over-read\n"
-            rep.Cccs.Par_decode.resync_overhead_bits;
+          Printf.printf "chunks         %d\n" rep.Cccs.Par_decode.chunks;
           Printf.printf "decoded        %d bytes from %d compressed (%s)\n"
             (String.length img)
             (String.length sc.Encoding.Scheme.image)
@@ -276,8 +259,8 @@ let decode_cmd =
     (Cmd.info "decode"
        ~doc:
          "Decompress one scheme's ROM image back to the 40-bit baseline \
-          image, splitting it across worker domains at certified resync \
-          points (or frame/fixed-width boundaries); verifies bit-exactness \
+          image, splitting it across worker domains at the block offsets \
+          of its address translation table; verifies bit-exactness \
           against the baseline")
     Term.(const run $ setup_logs $ bench_arg $ scheme_arg $ protect_arg
           $ jobs_arg $ out_arg $ json_arg $ flame_arg)

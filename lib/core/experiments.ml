@@ -300,55 +300,6 @@ let superblocks_for (r : Workload_run.run) =
 
 let superblocks ?jobs () = sweep ?jobs superblocks_for
 
-(* ------------------------------------------------------------------ *)
-
-type pardecode_row = {
-  bench : string;
-  scheme : string;
-  strategy : string;
-  chunks : int;
-  decode_jobs : int;
-  resync_overhead_bits : int;
-  decoded_bytes : int;
-  exact : bool;
-}
-
-(* The decode side of the study: run the speculative parallel decoder over
-   every scheme of one workload (the fallback schemes included — their
-   rows document the sequential degrade) and check each output against the
-   ground-truth baseline image.  [decode_jobs] is what the decoder
-   actually used after clamping, so a row honestly records a 1-core
-   degrade. *)
-let pardecode_for ?decode_jobs ?force ?min_chunk_bits (r : Workload_run.run) =
-  let s = schemes_of r in
-  let prog = r.Workload_run.compiled.Pipeline.program in
-  let truth = Tepic.Program.baseline_image prog in
-  List.map
-    (fun (name, sc) ->
-      match
-        Par_decode.decode ?jobs:decode_jobs ?force ?min_chunk_bits sc
-      with
-      | Error e ->
-          failwith
-            (Printf.sprintf "pardecode %s/%s: %s" r.Workload_run.name name
-               (Encoding.Scheme.decode_error_to_string e))
-      | Ok (out, rep) ->
-          {
-            bench = r.Workload_run.name;
-            scheme = name;
-            strategy = Par_decode.strategy_name rep.Par_decode.strategy;
-            chunks = rep.Par_decode.chunks;
-            decode_jobs = rep.Par_decode.jobs;
-            resync_overhead_bits = rep.Par_decode.resync_overhead_bits;
-            decoded_bytes = String.length out;
-            exact = String.equal out truth;
-          })
-    (all_schemes s @ [ ("dict", s.dict) ])
-
-let pardecode ?jobs ?decode_jobs ?force ?min_chunk_bits () =
-  List.concat
-    (sweep ?jobs (pardecode_for ?decode_jobs ?force ?min_chunk_bits))
-
 let clear_cache () =
   Hashtbl.reset (Domain.DLS.get scheme_cache_key);
   Hashtbl.reset (Domain.DLS.get fig13_cache_key)

@@ -134,43 +134,6 @@ type superblock_row = {
 
 val superblocks : ?jobs:int -> unit -> superblock_row list
 
-(** {1 Extension — speculative parallel decode (decompression direction)}
-
-    Runs {!Par_decode} over every scheme of each workload (the
-    dictionary and the sequential-fallback schemes included) and checks
-    the output against the ground-truth baseline image. *)
-
-type pardecode_row = {
-  bench : string;
-  scheme : string;
-  strategy : string;  (** {!Par_decode.strategy_name} of the certificate *)
-  chunks : int;
-  decode_jobs : int;  (** workers actually used after clamping *)
-  resync_overhead_bits : int;
-      (** certified worst-case speculative over-read of this split *)
-  decoded_bytes : int;
-  exact : bool;  (** output equals the baseline image byte-for-byte *)
-}
-
-(** [pardecode_for ?decode_jobs ?force ?min_chunk_bits r] — one row per
-    scheme.  [decode_jobs] is the chunk-level parallelism (distinct from
-    the sweep-level [?jobs]); raises [Failure] if any scheme's image
-    fails to decode. *)
-val pardecode_for :
-  ?decode_jobs:int ->
-  ?force:bool ->
-  ?min_chunk_bits:int ->
-  Workload_run.run ->
-  pardecode_row list
-
-val pardecode :
-  ?jobs:int ->
-  ?decode_jobs:int ->
-  ?force:bool ->
-  ?min_chunk_bits:int ->
-  unit ->
-  pardecode_row list
-
 (** [clear_cache ()] — reset the calling domain's memoized results
     (tests, cold-cache benchmarking). *)
 val clear_cache : unit -> unit

@@ -1,4 +1,4 @@
-(** Speculative parallel decode of a single compressed image.
+(** Parallel decode of a single compressed image.
 
     The image is cut at block boundaries into contiguous chunks, each
     chunk decoded independently back to the 40-bit baseline encoding, and
@@ -7,69 +7,39 @@
     and on corrupt input the same typed error ({!Encoding.Scheme.decode_error})
     at the same bit position — at every jobs count.
 
-    Eligibility for splitting is a per-scheme proof obligation, answered
-    by {!classify}; schemes without a certificate decode in one chunk
-    through the identical code path (the fallback is trivially
-    bit-exact).  Chunk sizes are cost-model driven
-    ({!Huffman.Par_decode}) and the jobs count is clamped to the core
-    count ({!Parallel}), so a parallel request can degrade to the
-    sequential decode but never lose to it. *)
+    The Address Translation Table is the only splitting rule: every
+    scheme, framed or not, is cut at block offsets
+    ([Scheme.block_offset_bits]), and each chunk seeks straight to the
+    exact compressed address of its first block.  The image verifier's
+    CCCS-E100 check proves those offsets tile the image contiguously,
+    which is the one fact the split relies on.  Chunks are at least
+    {!Huffman.Par_decode.chunk_floor_bits} each, and the jobs count is
+    clamped to the core count ({!Parallel}), so a parallel request can
+    degrade to the sequential decode but never lose to it. *)
 
-(** Why (or why not) the image may be split.  [Resync] carries the
-    DFA-certified worst-case resynchronization bound of the scheme's
-    codebooks — the proven cap on speculative over-read per cut. *)
-type strategy =
-  | Frames  (** protected framing: per-block length field + CRC guard *)
-  | Fixed  (** every model source is a fixed-width field group *)
-  | Resync of { resync_bits : int }
-      (** unframed Huffman, every book certified recoverable within
-          [resync_bits] bits ({!Cccs_analysis.Decode_dfa.certify_sync}) *)
-  | Sequential of { reason : string }  (** no certificate — one chunk *)
-
-(** Short machine-readable tag: ["frames"], ["fixed"], ["resync"],
-    ["sequential"]. *)
-val strategy_name : strategy -> string
-
-(** Human-readable form including the bound or the reason. *)
-val strategy_to_string : strategy -> string
-
-(** [classify s] — derive [s]'s splitting certificate.  Protected schemes
-    are [Frames]; book-free schemes with an all-[Fixed_bits] model are
-    [Fixed]; schemes with codebooks are [Resync] iff {e every} book's
-    decode DFA is certified recoverable with a finite resynchronization
-    bound; anything else is [Sequential]. *)
-val classify : Encoding.Scheme.t -> strategy
-
-(** [resync_overhead_bits ~strategy ~chunks] — certified worst-case
-    speculative over-read of a [chunks]-way split:
-    [(chunks - 1) * resync_bits] under [Resync], [0] otherwise (frame and
-    fixed boundaries are exact). *)
-val resync_overhead_bits : strategy:strategy -> chunks:int -> int
+(** [classify s] does nothing.  The split needs no per-scheme proof; the
+    function stays only for callers that still time it, and goes once
+    they no longer do. *)
+val classify : Encoding.Scheme.t -> unit
 
 (** What a decode actually did — reported next to every benchmark row. *)
 type report = {
-  strategy : strategy;
   jobs : int;  (** workers used after clamping and degrades *)
   chunks : int;
-  min_chunk_bits : int;  (** cost-model floor the plan honoured *)
-  resync_overhead_bits : int;
 }
 
-(** [decode ?jobs ?force ?obs ?image s] — decode [s]'s compressed image
-    (or the override [image], e.g. a corrupted copy) back to the 40-bit
-    baseline byte image.
+(** [decode ?jobs ?force ?obs ?min_chunk_bits ?image s] — decode [s]'s
+    compressed image (or the override [image], e.g. a corrupted copy)
+    back to the 40-bit baseline byte image.
 
     [jobs] defaults to {!Parallel.default_jobs}; the effective count is
-    clamped to the core count unless [force] and degrades to [1] when an
+    clamped to the core count unless [force], and degrades to [1] when an
     observer is installed (a shared sink cannot accept concurrent
-    emitters; chunk spans then land on the [Decode] stage sequentially)
-    or when {!classify} yields [Sequential].
+    emitters; chunk spans then land on the [Decode] stage sequentially).
 
-    [min_chunk_bits] overrides the cost-model floor (default: derived
-    from a once-per-process calibration probe) — for tests and benchmarks
-    that must force a multi-chunk plan on a small image; production
-    callers should leave it to the cost model, which is what makes the
-    never-lose guarantee hold.
+    [min_chunk_bits] overrides the chunk floor (default
+    {!Huffman.Par_decode.chunk_floor_bits}) — for tests that must force
+    a multi-chunk plan on a small image.
 
     Returns the decoded image with a {!report}, or the typed error of the
     first failing block — identical, position included, to what the

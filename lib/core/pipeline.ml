@@ -103,6 +103,5 @@ let lint (c : compiled) =
 (* The decompression direction of the pipeline: compiled program -> scheme
    image -> baseline image.  A thin veneer over Par_decode so every
    pipeline consumer gets the --jobs plumbing (and the never-lose clamp)
-   without knowing the splitting machinery. *)
-let decompress ?jobs ?force ?obs ?min_chunk_bits scheme =
-  Par_decode.decode ?jobs ?force ?obs ?min_chunk_bits scheme
+   without knowing how the image is split. *)
+let decompress ?jobs ?obs scheme = Par_decode.decode ?jobs ?obs scheme

@@ -40,15 +40,12 @@ val compile_profile : ?speculate:bool -> Workloads.Profile.t -> compiled
     built schemes; see {!Analysis.lint_run}. *)
 val lint : compiled -> Cccs_analysis.Diag.t list
 
-(** [decompress ?jobs ?force ?obs scheme] — decode [scheme]'s compressed
-    image back to the 40-bit baseline image, splitting across [jobs]
-    worker domains when the scheme carries a splitting certificate
-    ({!Par_decode.classify}); bit-exact with the sequential decode at any
-    jobs count.  See {!Par_decode.decode} for the parameters. *)
+(** [decompress ?jobs ?obs scheme] — decode [scheme]'s compressed image
+    back to the 40-bit baseline image, split at its ATT block offsets
+    across [jobs] worker domains; bit-exact with the sequential decode at
+    any jobs count.  See {!Par_decode.decode} for the parameters. *)
 val decompress :
   ?jobs:int ->
-  ?force:bool ->
   ?obs:Cccs_obs.Sink.t ->
-  ?min_chunk_bits:int ->
   Encoding.Scheme.t ->
   (string * Par_decode.report, Encoding.Scheme.decode_error) result

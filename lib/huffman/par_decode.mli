@@ -1,13 +1,12 @@
-(** Chunk planning for speculative parallel decode of a compressed image.
+(** Chunk planning for parallel decode of a compressed image.
 
-    The image is a sequence of byte-aligned segments (blocks); the planner
-    cuts it at segment boundaries into at most [jobs] contiguous chunks,
-    each big enough — per the cost model — that spawning a worker domain
-    for it cannot make the parallel decode lose to the sequential one.
-    Which boundaries are {e safe} cut points is the caller's proof
-    obligation (frame guards, fixed-width layouts, or DFA-certified
-    resynchronization bounds — see [Cccs.Par_decode]); this module owns
-    the arithmetic only. *)
+    The image is a sequence of byte-aligned segments (blocks) whose exact
+    bit offsets the Address Translation Table publishes; the planner cuts
+    it at segment boundaries into at most [jobs] contiguous chunks, each
+    at least a floor in size so that spawning a worker domain for it pays
+    off.  Every segment boundary is a valid cut point because each
+    segment decodes from its own offset (see [Cccs.Par_decode]); this
+    module owns the arithmetic only. *)
 
 type chunk = {
   id : int;  (** position in the plan, 0-based *)
@@ -17,28 +16,9 @@ type chunk = {
   bits : int;  (** total payload bits over the chunk's segments *)
 }
 
-(** Chunk-size cost model:
-    [min_chunk_bits = spawn_overhead_ns * overhead_budget / ns_per_bit] —
-    a chunk must represent at least [overhead_budget] times the work of
-    spawning its worker, capping parallel overhead at
-    [1/overhead_budget]. *)
-type cost_model = {
-  spawn_overhead_ns : int;  (** Domain.spawn + join cost bound *)
-  overhead_budget : int;  (** chunk work / spawn cost floor *)
-  default_ns_per_bit : float;
-      (** assumed decode speed when the calibration probe cannot resolve
-          the clock; deliberately {e fast}, so an unresolved probe only
-          ever makes chunks bigger (never an oversubscribed loss) *)
-}
-
-(** 50us spawn bound, 10x work floor, 1 ns/bit fallback. *)
-val default_cost_model : cost_model
-
-(** [min_chunk_bits model ~ns_per_bit] — the smallest chunk worth a
-    worker under [model] for a decoder measured at [ns_per_bit].
-    Non-finite or non-positive [ns_per_bit] falls back to
-    [model.default_ns_per_bit]. *)
-val min_chunk_bits : cost_model -> ns_per_bit:float -> int
+(** Default chunk floor, in payload bits: 16_384.  Below this a chunk's
+    decode work no longer dwarfs the spawn and join of its worker. *)
+val chunk_floor_bits : int
 
 (** [plan ~offsets ~sizes ~jobs ~min_bits] — cut the segments into at
     most [jobs] contiguous chunks of at least [min_bits] bits each

@@ -1,7 +1,7 @@
-(* Speculative parallel decode: chunk-plan arithmetic, splitting
-   certificates, and the hard contract — parallel decode is bit-exact
-   with the sequential decode for every scheme in the registry, on clean
-   and on corrupted images alike. *)
+(* Parallel decode: chunk-plan arithmetic, and the hard contract — an
+   image split at its ATT block offsets decodes bit-exactly like the
+   sequential walk, for every scheme in the registry, on clean and on
+   corrupted images alike. *)
 
 let check = Alcotest.(check int)
 
@@ -97,20 +97,6 @@ let test_plan_validation () =
         (Huffman.Par_decode.plan ~offsets:[| 0 |] ~sizes:[| 8 |] ~jobs:0
            ~min_bits:0))
 
-let test_cost_model () =
-  let m = Huffman.Par_decode.default_cost_model in
-  (* 50us spawn * 10x budget at 1 ns/bit = 500k bits. *)
-  check "default floor" 500_000
-    (Huffman.Par_decode.min_chunk_bits m ~ns_per_bit:1.0);
-  (* Slower decoders need smaller chunks to amortize the same spawn. *)
-  check "10 ns/bit" 50_000 (Huffman.Par_decode.min_chunk_bits m ~ns_per_bit:10.0);
-  (* Unresolved probes fall back to the fast default: bigger chunks,
-     never an oversubscribed loss. *)
-  check "nan falls back" 500_000
-    (Huffman.Par_decode.min_chunk_bits m ~ns_per_bit:Float.nan);
-  check "zero falls back" 500_000
-    (Huffman.Par_decode.min_chunk_bits m ~ns_per_bit:0.0)
-
 let test_gather () =
   Alcotest.(check string)
     "byte blit concat" "abcdef"
@@ -136,11 +122,36 @@ let registry r =
         Encoding.Scheme.protect Encoding.Scheme.Crc8 s.Cccs.Experiments.byte );
     ]
 
-let decode_result = function
-  | Ok (img, (rep : Cccs.Par_decode.report)) ->
-      Printf.sprintf "ok:%d:%s" (String.length img) (Digest.to_hex (Digest.string img))
-      |> fun tag -> (tag, Some rep)
-  | Error e -> ("error:" ^ Encoding.Scheme.decode_error_to_string e, None)
+(* The output digest, or the typed error with its block and bit. *)
+let outcome = function
+  | Ok (img, _) ->
+      Printf.sprintf "ok:%d:%s" (String.length img)
+        (Digest.to_hex (Digest.string img))
+  | Error e -> "error:" ^ Encoding.Scheme.decode_error_to_string e
+
+let sequential ~name sc =
+  match Cccs.Par_decode.decode ~jobs:1 sc with
+  | Ok (img, _) -> img
+  | Error e ->
+      Alcotest.failf "%s sequential: %s" name
+        (Encoding.Scheme.decode_error_to_string e)
+
+(* A clean forced decode of [sc] at [jobs]: bit-exact with [seq], and
+   really split — at least two chunks, at most [jobs]. *)
+let check_forced_split ~name ~seq ~jobs sc =
+  match Cccs.Par_decode.decode ~jobs ~force:true ~min_chunk_bits:0 sc with
+  | Error e ->
+      Alcotest.failf "%s jobs=%d: %s" name jobs
+        (Encoding.Scheme.decode_error_to_string e)
+  | Ok (img, rep) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s jobs=%d bit-exact" name jobs)
+        true (String.equal img seq);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s jobs=%d splits into 2..%d chunks (got %d)" name
+           jobs jobs rep.Cccs.Par_decode.chunks)
+        true
+        (rep.Cccs.Par_decode.chunks >= 2 && rep.Cccs.Par_decode.chunks <= jobs)
 
 let test_bitexact_every_scheme () =
   let r = load "compress" in
@@ -150,194 +161,72 @@ let test_bitexact_every_scheme () =
   in
   List.iter
     (fun (name, sc) ->
-      let seq =
-        match Cccs.Par_decode.decode ~jobs:1 sc with
-        | Ok (img, _) -> img
-        | Error e ->
-            Alcotest.failf "%s sequential: %s" name
-              (Encoding.Scheme.decode_error_to_string e)
-      in
+      let seq = sequential ~name sc in
       Alcotest.(check bool)
         (name ^ ": sequential decode equals baseline image")
         true (String.equal seq truth);
-      List.iter
-        (fun jobs ->
-          match
-            Cccs.Par_decode.decode ~jobs ~force:true ~min_chunk_bits:0 sc
-          with
-          | Error e ->
-              Alcotest.failf "%s jobs=%d: %s" name jobs
-                (Encoding.Scheme.decode_error_to_string e)
-          | Ok (img, rep) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s jobs=%d bit-exact" name jobs)
-                true (String.equal img seq);
-              Alcotest.(check bool)
-                (Printf.sprintf "%s jobs=%d chunk count sane" name jobs)
-                true
-                (rep.Cccs.Par_decode.chunks >= 1
-                && rep.Cccs.Par_decode.chunks <= jobs);
-              check
-                (Printf.sprintf "%s jobs=%d overhead accounting" name jobs)
-                (Cccs.Par_decode.resync_overhead_bits
-                   ~strategy:rep.Cccs.Par_decode.strategy
-                   ~chunks:rep.Cccs.Par_decode.chunks)
-                rep.Cccs.Par_decode.resync_overhead_bits)
-        [ 2; 4 ])
+      List.iter (fun jobs -> check_forced_split ~name ~seq ~jobs sc) [ 2; 4 ];
+      (* The default chunk floor still splits every compress image: the
+         smallest, full Huffman, is 27 Kibit against a 16 Kibit floor. *)
+      match Cccs.Par_decode.decode ~jobs:2 ~force:true sc with
+      | Error e ->
+          Alcotest.failf "%s default floor: %s" name
+            (Encoding.Scheme.decode_error_to_string e)
+      | Ok (img, rep) ->
+          Alcotest.(check bool)
+            (name ^ " default floor bit-exact")
+            true (String.equal img seq);
+          check (name ^ " default floor splits in two") 2
+            rep.Cccs.Par_decode.chunks)
     (registry r)
 
-let test_certificates () =
-  let r = load "fir" in
-  let s = Cccs.Experiments.schemes_of r in
-  let name sc = Cccs.Par_decode.strategy_name (Cccs.Par_decode.classify sc) in
-  Alcotest.(check string) "base is fixed-width" "fixed"
-    (name s.Cccs.Experiments.base);
-  Alcotest.(check string) "tailored is fixed-width" "fixed"
-    (name s.Cccs.Experiments.tailored);
-  Alcotest.(check string) "dict is fixed-width" "fixed"
-    (name s.Cccs.Experiments.dict);
-  Alcotest.(check string) "protected framing wins" "frames"
-    (name (Encoding.Scheme.protect Encoding.Scheme.Crc8 s.Cccs.Experiments.full));
-  (* Unframed Huffman schemes split only on a DFA certificate; either way
-     the classification must be decided, not an error. *)
-  List.iter
-    (fun (n, sc) ->
-      let s = name sc in
-      Alcotest.(check bool)
-        (n ^ " certificate decided") true
-        (s = "resync" || s = "sequential"))
-    (("full", s.Cccs.Experiments.full)
-    :: ("byte", s.Cccs.Experiments.byte)
-    :: s.Cccs.Experiments.streams);
-  (* A multi-chunk resync split must report the certified overhead. *)
-  match Cccs.Par_decode.classify s.Cccs.Experiments.full with
-  | Cccs.Par_decode.Resync { resync_bits } ->
-      Alcotest.(check bool) "resync bound positive" true (resync_bits > 0);
-      check "overhead = (chunks-1) * bound"
-        (3 * resync_bits)
-        (Cccs.Par_decode.resync_overhead_bits
-           ~strategy:(Cccs.Par_decode.Resync { resync_bits })
-           ~chunks:4)
-  | _ -> ()
-
-(* A flip inside chunk k must yield the identical outcome — same bytes,
-   or same typed error with the same bit cursor — as the sequential
-   checked decode.  Exercised on an unframed Huffman scheme (errors
-   surface as consumed-bits mismatches or decoder exceptions) and on a
-   protected one (errors surface as guard-word mismatches). *)
+(* The differential contract on real splits: every registry scheme of
+   [fir], framed or not, cut at its ATT offsets into 2 or 4 chunks, must
+   give the sequential walk's outcome on every corruption — the same
+   output digest, or the same typed error with the same block and bit.
+   Corruptions: the first, middle and last bit of every block flipped,
+   and the image truncated at every block start. *)
 let test_corrupt_stream_equality () =
   let r = load "fir" in
-  let s = Cccs.Experiments.schemes_of r in
-  let schemes =
-    [
-      ("full", s.Cccs.Experiments.full);
-      ( "full+crc16",
-        Encoding.Scheme.protect Encoding.Scheme.Crc16 s.Cccs.Experiments.full );
-    ]
-  in
   List.iter
     (fun (name, sc) ->
-      let n = Array.length sc.Encoding.Scheme.block_offset_bits in
-      Alcotest.(check bool) (name ^ " has blocks") true (n > 0);
-      (* One flip near the start, middle and end of the block range, a few
-         bits into the block so protected length fields get hit too. *)
-      let targets =
-        List.sort_uniq compare [ 0; n / 3; n / 2; (2 * n / 3) + 1; n - 1 ]
+      let offsets = sc.Encoding.Scheme.block_offset_bits in
+      let sizes = sc.Encoding.Scheme.block_bits in
+      let n = Array.length offsets in
+      Alcotest.(check bool) (name ^ " has two blocks or more") true (n >= 2);
+      let seq = sequential ~name sc in
+      List.iter (fun jobs -> check_forced_split ~name ~seq ~jobs sc) [ 2; 4 ];
+      let image = sc.Encoding.Scheme.image in
+      let corruptions =
+        List.concat
+          (List.init n (fun b ->
+               let first = offsets.(b) in
+               let last = first + sizes.(b) - 1 in
+               [
+                 ( Printf.sprintf "flip block%d first bit" b,
+                   Bits.flip_bits image [ first ] );
+                 ( Printf.sprintf "flip block%d middle bit" b,
+                   Bits.flip_bits image [ first + (sizes.(b) / 2) ] );
+                 ( Printf.sprintf "flip block%d last bit" b,
+                   Bits.flip_bits image [ last ] );
+                 ( Printf.sprintf "truncate at block%d" b,
+                   String.sub image 0 (first / 8) );
+               ]))
       in
       List.iter
-        (fun b ->
-          let bit = sc.Encoding.Scheme.block_offset_bits.(b) + 2 in
-          let image = Bits.flip_bits sc.Encoding.Scheme.image [ bit ] in
-          let seq =
-            decode_result (Cccs.Par_decode.decode ~jobs:1 ~image sc)
-          in
+        (fun (site, image) ->
+          let expect = outcome (Cccs.Par_decode.decode ~jobs:1 ~image sc) in
           List.iter
             (fun jobs ->
-              let par =
-                decode_result
-                  (Cccs.Par_decode.decode ~jobs ~force:true ~min_chunk_bits:0
-                     ~image sc)
-              in
               Alcotest.(check string)
-                (Printf.sprintf "%s flip@block%d jobs=%d same outcome" name b
-                   jobs)
-                (fst seq) (fst par))
+                (Printf.sprintf "%s %s jobs=%d same outcome" name site jobs)
+                expect
+                (outcome
+                   (Cccs.Par_decode.decode ~jobs ~force:true ~min_chunk_bits:0
+                      ~image sc)))
             [ 2; 4 ])
-        targets)
-    schemes
-
-let test_sequential_fallback_path () =
-  (* A scheme with no certificate must still decode — one chunk, same
-     output — even when parallelism is requested. *)
-  let r = load "fir" in
-  let s = Cccs.Experiments.schemes_of r in
-  let sc = s.Cccs.Experiments.full in
-  match Cccs.Par_decode.classify sc with
-  | Cccs.Par_decode.Sequential _ -> (
-      match Cccs.Par_decode.decode ~jobs:4 ~force:true ~min_chunk_bits:0 sc with
-      | Ok (_, rep) -> check "fallback is one chunk" 1 rep.Cccs.Par_decode.chunks
-      | Error e ->
-          Alcotest.failf "fallback decode: %s"
-            (Encoding.Scheme.decode_error_to_string e))
-  | _ ->
-      (* Certified here; the fallback arm is exercised through whichever
-         registry scheme lacks a certificate in test_bitexact_every_scheme. *)
-      ()
-
-(* Every codebook trained on this corpus certifies as resync-unbounded
-   (the pair automaton has a reachable cycle), so the Resync arm is
-   driven with a synthetic certificate: two equiprobable symbols make a
-   1-bit fixed-length book whose decoders re-merge after a single bit.
-   Classification consults the published books only — grafting the book
-   onto the fixed-width base decoder exercises the Resync strategy
-   through a real multi-chunk decode. *)
-let certified_book () =
-  let f = Huffman.Freq.create () in
-  Huffman.Freq.add_many f 0 5;
-  Huffman.Freq.add_many f 1 5;
-  Huffman.Codebook.make ~symbol_bits:(fun _ -> 1) f
-
-let test_resync_strategy_end_to_end () =
-  let r = load "fir" in
-  let s = Cccs.Experiments.schemes_of r in
-  let sc =
-    {
-      (s.Cccs.Experiments.base) with
-      Encoding.Scheme.name = "base+certbook";
-      books = [ ("flag", certified_book ()) ];
-      model =
-        [ Encoding.Scheme.Book_codewords { book = "flag"; max_per_op = 1 } ];
-    }
-  in
-  let bound =
-    match Cccs.Par_decode.classify sc with
-    | Cccs.Par_decode.Resync { resync_bits } ->
-        Alcotest.(check bool) "resync bound is positive" true (resync_bits >= 1);
-        resync_bits
-    | st ->
-        Alcotest.failf "expected resync certificate, got %s"
-          (Cccs.Par_decode.strategy_name st)
-  in
-  let seq =
-    match Cccs.Par_decode.decode ~jobs:1 sc with
-    | Ok (img, _) -> img
-    | Error e ->
-        Alcotest.failf "sequential: %s"
-          (Encoding.Scheme.decode_error_to_string e)
-  in
-  match Cccs.Par_decode.decode ~jobs:4 ~force:true ~min_chunk_bits:0 sc with
-  | Error e ->
-      Alcotest.failf "parallel: %s" (Encoding.Scheme.decode_error_to_string e)
-  | Ok (img, rep) ->
-      Alcotest.(check bool) "resync split is bit-exact" true
-        (String.equal img seq);
-      Alcotest.(check string) "strategy survives into the report" "resync"
-        (Cccs.Par_decode.strategy_name rep.Cccs.Par_decode.strategy);
-      Alcotest.(check bool) "actually split" true
-        (rep.Cccs.Par_decode.chunks > 1);
-      check "certified over-read accounting"
-        ((rep.Cccs.Par_decode.chunks - 1) * bound)
-        rep.Cccs.Par_decode.resync_overhead_bits
+        corruptions)
+    (registry r)
 
 let test_obs_spans_decode_stage () =
   let r = load "fir" in
@@ -366,36 +255,15 @@ let test_obs_spans_decode_stage () =
   in
   Alcotest.(check (list string)) "one Decode-stage chunk span" [ "chunk0" ] spans
 
-let test_experiments_pardecode_rows () =
-  let r = load "fir" in
-  let rows = Cccs.Experiments.pardecode_for ~decode_jobs:2 ~force:true
-      ~min_chunk_bits:0 r in
-  Alcotest.(check bool) "one row per registry scheme" true (List.length rows >= 5);
-  List.iter
-    (fun (row : Cccs.Experiments.pardecode_row) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s/%s exact" row.Cccs.Experiments.bench
-           row.Cccs.Experiments.scheme)
-        true row.Cccs.Experiments.exact)
-    rows
-
 let suite =
   [
     Alcotest.test_case "chunk plans tile the image" `Quick test_plan_shapes;
     Alcotest.test_case "plan input validation" `Quick test_plan_validation;
-    Alcotest.test_case "chunk-size cost model" `Quick test_cost_model;
     Alcotest.test_case "gather is ordered concat" `Quick test_gather;
-    Alcotest.test_case "splitting certificates" `Quick test_certificates;
     Alcotest.test_case "parallel = sequential, every scheme" `Slow
       test_bitexact_every_scheme;
     Alcotest.test_case "corrupt stream: identical typed errors" `Slow
       test_corrupt_stream_equality;
-    Alcotest.test_case "uncertified schemes fall back" `Quick
-      test_sequential_fallback_path;
-    Alcotest.test_case "resync certificate drives a real split" `Quick
-      test_resync_strategy_end_to_end;
     Alcotest.test_case "obs: chunk spans on the Decode stage" `Quick
       test_obs_spans_decode_stage;
-    Alcotest.test_case "experiments pardecode rows" `Slow
-      test_experiments_pardecode_rows;
   ]
