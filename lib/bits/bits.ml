@@ -1,3 +1,20 @@
+(* Unchecked native 64-bit loads and stores, byte-swapped to big-endian
+   on little-endian hosts.  The word-wise kernels below bounds-check the
+   8-byte window themselves; these compile to a single load or store. *)
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] bytes_get64_be b i =
+  if Sys.big_endian then bytes_get64u b i else bswap64 (bytes_get64u b i)
+
+let[@inline] bytes_set64_be b i v =
+  if Sys.big_endian then bytes_set64u b i v else bytes_set64u b i (bswap64 v)
+
+let[@inline] string_get64_be s i =
+  if Sys.big_endian then string_get64u s i else bswap64 (string_get64u s i)
+
 module Writer = struct
   type t = {
     mutable bytes : Bytes.t;
@@ -28,28 +45,40 @@ module Writer = struct
     end;
     w.nbits <- w.nbits + 1
 
-  (* Word-wise append: every byte past [nbits] is zero (create/ensure make
-     fresh bytes and add_bit only ever sets the current bit), so a field can
-     be OR-ed into the buffer a byte at a time instead of bit by bit. *)
+  (* Word-wise append.  Every byte past [nbits] is zero (create/ensure make
+     fresh bytes and nothing ever sets a bit past the cursor), so a field can
+     be OR-ed into the buffer instead of written bit by bit.  [ensure]
+     keeps 64 bits of slack, so the 8-byte window at the cursor's byte is
+     always inside the buffer: a field with [off + width <= 64] (every
+     field up to 57 bits wide, whatever the alignment) is one big-endian
+     64-bit load, OR and store.  Wider fields at a late offset take the
+     byte loop. *)
   let add_bits w ~width v =
     if width < 0 || width > 62 then
       invalid_arg "Bits.Writer.add_bits: width out of range";
     if v < 0 || (width < 62 && v lsr width <> 0) then
       invalid_arg "Bits.Writer.add_bits: value does not fit width";
     if width > 0 then begin
-      ensure w width;
+      ensure w 64;
       let bytes = w.bytes in
-      let pos = ref w.nbits and left = ref width in
-      while !left > 0 do
-        let byte = !pos lsr 3 and off = !pos land 7 in
-        let take = min (8 - off) !left in
-        let chunk = (v lsr (!left - take)) land ((1 lsl take) - 1) in
-        let cur = Char.code (Bytes.unsafe_get bytes byte) in
-        Bytes.unsafe_set bytes byte
-          (Char.unsafe_chr (cur lor (chunk lsl (8 - off - take))));
-        pos := !pos + take;
-        left := !left - take
-      done;
+      let byte = w.nbits lsr 3 and off = w.nbits land 7 in
+      if off + width <= 64 then
+        bytes_set64_be bytes byte
+          (Int64.logor (bytes_get64_be bytes byte)
+             (Int64.shift_left (Int64.of_int v) (64 - off - width)))
+      else begin
+        let pos = ref w.nbits and left = ref width in
+        while !left > 0 do
+          let byte = !pos lsr 3 and off = !pos land 7 in
+          let take = min (8 - off) !left in
+          let chunk = (v lsr (!left - take)) land ((1 lsl take) - 1) in
+          let cur = Char.code (Bytes.unsafe_get bytes byte) in
+          Bytes.unsafe_set bytes byte
+            (Char.unsafe_chr (cur lor (chunk lsl (8 - off - take))));
+          pos := !pos + take;
+          left := !left - take
+        done
+      end;
       w.nbits <- w.nbits + width
     end
 
@@ -126,10 +155,13 @@ module Reader = struct
 
      The hot entry [unsafe_peek_bits] is deliberately straight-line: the
      classic (non-flambda) compiler never inlines a function containing a
-     loop, and Huffman decode peeks at most max_len <= 20 bits (2-4
-     bytes), so the unrolled loads below are the path that must inline
-     into the decode loop.  Wide peeks and peeks running past the end of
-     the stream take the loop in [peek_slow]. *)
+     loop.  Huffman decode peeks at most max_len <= 20 bits (2-4 bytes),
+     which the unrolled loads below serve; a wider field (a 40-bit
+     baseline op) spans 5-8 bytes and is one big-endian 64-bit load, which
+     holds the 7 skipped bits plus up to 56 field bits, whenever the 8
+     bytes at the cursor's byte lie inside the string.  Only peeks running
+     into the last 7 bytes of the stream (where the zero-padded tail law
+     applies) take the loop in [peek_slow]. *)
   let peek_slow r ~width =
     let data = r.data in
     let len = String.length data in
@@ -174,6 +206,11 @@ module Reader = struct
         in
         v lsr ((8 * m) - off - width)
       end
+      else if byte + 8 <= String.length data then
+        Int64.to_int
+          (Int64.shift_right_logical
+             (Int64.shift_left (string_get64_be data byte) off)
+             (64 - width))
       else peek_slow r ~width
     end
 

@@ -17,8 +17,9 @@ module Writer : sig
   val add_bit : t -> bool -> unit
 
   (** [add_bits w ~width v] appends the [width] low bits of [v], MSB first.
-      The field is OR-ed into the buffer a byte at a time (at most 8
-      iterations for the widest legal field) rather than bit by bit.
+      The field is OR-ed into the buffer with one big-endian 64-bit load
+      and store whenever it ends within the 8 bytes at the cursor's byte
+      (every field up to 57 bits wide), and a byte at a time otherwise.
       Raises [Invalid_argument] if [width < 0], [width > 62] or [v] does not
       fit in [width] bits. *)
   val add_bits : t -> width:int -> int -> unit
@@ -75,7 +76,10 @@ module Reader : sig
   val read_bit : t -> bool
 
   (** [peek_bits r ~width] — the next [width] bits (MSB first) without
-      moving the cursor, read in one multi-byte load.  Bits past the end of
+      moving the cursor, read in one multi-byte load: unrolled byte loads
+      for a field spanning at most 4 bytes, one big-endian 64-bit load for
+      a wider one while 8 bytes remain from the cursor's byte, and a byte
+      loop only in the last 7 bytes of the stream.  Bits past the end of
       the stream read as zero, so near the end the result equals the
       remaining bits left-shifted into the high positions:
       [peek_bits r ~width = read_bits r ~width:(remaining r) lsl

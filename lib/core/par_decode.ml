@@ -2,7 +2,7 @@
 
    One image, several worker domains: the image is cut at block boundaries
    into contiguous chunks (Huffman.Par_decode plans where), each chunk is
-   decoded independently back to the 40-bit baseline encoding, and the
+   transcoded independently back to the 40-bit baseline encoding, and the
    per-chunk outputs are concatenated in order.  The contract is bit-exact
    equality with the sequential decode — same output image, and on corrupt
    input the same typed error at the same bit position — enforced by the
@@ -15,7 +15,7 @@
    Two facts make the cut exact.  The image verifier's CCCS-E100 check
    proves the blocks tile the image contiguously, so the sequential walk
    reaches each block at the same offset the ATT names.  And every block
-   goes through [Scheme.decode_block_checked_at], which rejects a block
+   goes through [Scheme.transcode_block_checked_at], which rejects a block
    that does not consume exactly [block_bits], so a chunk never runs past
    its blocks unnoticed.
 
@@ -33,11 +33,14 @@ let classify (_ : Scheme.t) = ()
 
 type report = { jobs : int; chunks : int }
 
-(* Decode one chunk's blocks back-to-back: every block goes through the
-   same verifying decode as the sequential path (decode_block_checked_at),
-   with byte-alignment skipped between blocks instead of re-seeking, so a
-   chunk is a faithful slice of the sequential walk — identical output
-   bits, identical typed errors at identical positions. *)
+(* Decode one chunk's blocks back-to-back, each transcoded straight into
+   the chunk's output writer as 40-bit baseline words — no Op.t list in
+   between.  Every block goes through the same verifying frame walk as the
+   sequential checked decode (Scheme.transcode_block_checked_at shares
+   decode_block_checked_at's checks, and each transcoder raises where its
+   Op.t decoder does), with byte-alignment skipped between blocks instead
+   of re-seeking, so a chunk is a faithful slice of the sequential walk —
+   identical output bits, identical typed errors at identical positions. *)
 let decode_chunk ?obs (s : Scheme.t) ~image (c : Huffman.Par_decode.chunk) =
   let run () =
     let r = Bits.Reader.of_string image in
@@ -63,10 +66,9 @@ let decode_chunk ?obs (s : Scheme.t) ~image (c : Huffman.Par_decode.chunk) =
         let rec go k =
           if k >= stop then Ok (Bits.Writer.contents w)
           else
-            match Scheme.decode_block_checked_at s r k with
+            match Scheme.transcode_block_checked_at s r w k with
             | Error e -> Error e
-            | Ok ops ->
-                List.iter (Tepic.Encode.encode w) ops;
+            | Ok () ->
                 ignore (Bits.Writer.align_byte w);
                 ignore (Bits.Reader.align_byte r);
                 go (k + 1)
@@ -127,6 +129,7 @@ let decode ?jobs ?force ?obs ?min_chunk_bits ?image (s : Scheme.t) =
       let pieces =
         List.map (function Ok p -> p | Error _ -> assert false) results
       in
+      let chunks = Array.length chunks in
       Ok
         ( Huffman.Par_decode.gather pieces,
-          { jobs = jobs_eff; chunks = Array.length chunks } )
+          { jobs = max 1 (min jobs_eff chunks); chunks } )

@@ -2,7 +2,10 @@
 
     The image is cut at block boundaries into contiguous chunks, each
     chunk decoded independently back to the 40-bit baseline encoding, and
-    the per-chunk outputs concatenated in order.  The contract is
+    the per-chunk outputs concatenated in order.  Each block is
+    transcoded straight into baseline words
+    ({!Encoding.Scheme.transcode_block_checked_at}) — no [Op.t] is
+    built.  The contract is
     bit-exact equality with the sequential decode: same output image,
     and on corrupt input the same typed error ({!Encoding.Scheme.decode_error})
     at the same bit position — at every jobs count.
@@ -24,7 +27,10 @@ val classify : Encoding.Scheme.t -> unit
 
 (** What a decode actually did — reported next to every benchmark row. *)
 type report = {
-  jobs : int;  (** workers used after clamping and degrades *)
+  jobs : int;
+      (** worker domains actually used: the requested count after the
+          core clamp and the observer degrade, capped by the number of
+          chunks — 1 for a decode that spawned nothing *)
   chunks : int;
 }
 

@@ -11,6 +11,25 @@ let build program =
   let decode_payload r i =
     List.init counts.(i) (fun _ -> Tepic.Encode.decode r)
   in
+  (* One peek per op.  Encode.decode checks the opcode point once it has
+     read the 9-bit prefix, so the prefix is consumed before [normalize]
+     can raise, and the rest after.  An op cut short by the end of the
+     stream takes the Op.t path, whose truncation errors it must
+     reproduce. *)
+  let op_bits = Tepic.Format_spec.op_bits
+  and prefix_bits = Tepic.Format_spec.prefix_bits in
+  let transcode_payload r w i =
+    for _ = 1 to counts.(i) do
+      if Bits.Reader.remaining r >= op_bits then begin
+        let v = Bits.Reader.unsafe_peek_bits r ~width:op_bits in
+        Bits.Reader.unsafe_advance r prefix_bits;
+        let v = Tepic.Encode.normalize v in
+        Bits.Reader.unsafe_advance r (op_bits - prefix_bits);
+        Bits.Writer.add_bits w ~width:op_bits v
+      end
+      else Tepic.Encode.encode w (Tepic.Encode.decode r)
+    done
+  in
   {
     Scheme.name = "base";
     image;
@@ -32,5 +51,6 @@ let build program =
           };
       ];
     decode_payload;
+    transcode_payload;
     decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -24,12 +24,25 @@ let build program =
       (fun b -> Tepic.Program.block_num_ops b)
       program.Tepic.Program.blocks
   in
-  let decode_payload r i =
+  let read_block r i =
     let bytes = Bytes.create (Tepic.Format_spec.op_bytes * counts.(i)) in
     for j = 0 to Bytes.length bytes - 1 do
       Bytes.set bytes j (Char.chr (Huffman.Codebook.read book r))
     done;
-    Tepic.Encode.decode_ops ~count:counts.(i) (Bytes.to_string bytes)
+    Bytes.unsafe_to_string bytes
+  in
+  let decode_payload r i =
+    Tepic.Encode.decode_ops ~count:counts.(i) (read_block r i)
+  in
+  (* Like the Op.t path, every symbol of the block is read before any op
+     is checked, so a bad op raises with the cursor past the block. *)
+  let transcode_payload r w i =
+    let ops = Bits.Reader.of_string (read_block r i) in
+    for _ = 1 to counts.(i) do
+      Bits.Writer.add_bits w ~width:Tepic.Format_spec.op_bits
+        (Tepic.Encode.normalize
+           (Bits.Reader.read_bits ops ~width:Tepic.Format_spec.op_bits))
+    done
   in
   let stats = Huffman.Codebook.stats book in
   {
@@ -54,5 +67,6 @@ let build program =
           { book = "byte"; max_per_op = Tepic.Format_spec.op_bytes };
       ];
     decode_payload;
+    transcode_payload;
     decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -110,6 +110,29 @@ let build program =
     done;
     List.rev !out
   in
+  (* The transcoder's entries, as baseline words ready to append. *)
+  let entry_words =
+    Array.map
+      (fun seq -> Array.of_list (List.map Tepic.Encode.normalize seq))
+      entries
+  in
+  let transcode_payload r w i =
+    let remaining = ref op_counts.(i) in
+    while !remaining > 0 do
+      if Bits.Reader.read_bit r then begin
+        let idx = Bits.Reader.read_bits r ~width:idx_bits in
+        if idx >= nentries then failwith "Dictionary: bad reference";
+        let words = entry_words.(idx) in
+        Array.iter (Bits.Writer.add_bits w ~width:op_bits) words;
+        remaining := !remaining - Array.length words
+      end
+      else begin
+        Bits.Writer.add_bits w ~width:op_bits
+          (Tepic.Encode.normalize (Bits.Reader.read_bits r ~width:op_bits));
+        decr remaining
+      end
+    done
+  in
   let table_bits =
     Array.fold_left (fun a seq -> a + (List.length seq * op_bits)) 0 entries
     (* per-entry length field *)
@@ -147,5 +170,6 @@ let build program =
           };
       ];
     decode_payload;
+    transcode_payload;
     decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -25,6 +25,12 @@ let build program =
     List.init counts.(i) (fun _ ->
         Tepic.Encode.of_int (Huffman.Codebook.read book r))
   in
+  let transcode_payload r w i =
+    for _ = 1 to counts.(i) do
+      Bits.Writer.add_bits w ~width:Tepic.Format_spec.op_bits
+        (Tepic.Encode.normalize (Huffman.Codebook.read book r))
+    done
+  in
   let stats = Huffman.Codebook.stats book in
   {
     Scheme.name = "full";
@@ -44,5 +50,6 @@ let build program =
     books = [ ("full", book) ];
     model = [ Scheme.Book_codewords { book = "full"; max_per_op = 1 } ];
     decode_payload;
+    transcode_payload;
     decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -58,6 +58,7 @@ type t = {
   books : (string * Huffman.Codebook.t) list;
   model : code_source list;
   decode_payload : Bits.Reader.t -> int -> Tepic.Op.t list;
+  transcode_payload : Bits.Reader.t -> Bits.Writer.t -> int -> unit;
   decode_block : int -> Tepic.Op.t list;
 }
 
@@ -87,30 +88,34 @@ let exn_message = function
   | Not_found -> "lookup failed (Not_found)"
   | exn -> Printexc.to_string exn
 
-(* The verifying decode of one block with the reader already positioned on
-   the block's first bit.  Factored out of [decode_block_checked] so the
-   chunked parallel decoder (Cccs.Par_decode) walks blocks back-to-back
-   through the exact same checks — a corrupt stream yields the same typed
-   error, at the same bit position, whichever path found it. *)
-let decode_block_checked_at t r i =
+(* The verifying walk of one block frame with the reader already positioned
+   on the block's first bit, parameterised by the payload action: decode to
+   ops, or transcode straight to baseline words.  Factored out of
+   [decode_block_checked] so the chunked parallel decoder (Cccs.Par_decode)
+   walks blocks back-to-back through the exact same checks — a corrupt
+   stream yields the same typed error, at the same bit position, whichever
+   path found it.  [payload r] runs one of the scheme's payload decoders
+   from the block's first bit (a protected scheme's decoders skip the
+   length field themselves). *)
+let checked_at t r i payload =
   let offset = Bits.Reader.pos r in
   let fail reason =
     Error { scheme = t.name; block = i; bit = Bits.Reader.pos r; reason }
   in
-  let decode_and_check ~expect_consumed =
+  let run_and_check ~expect_consumed =
     let start = Bits.Reader.pos r in
-    match t.decode_payload r i with
+    match payload r with
     | exception exn -> fail (exn_message exn)
-    | ops ->
+    | x ->
         let consumed = Bits.Reader.pos r - start in
         if consumed <> expect_consumed then
           fail
             (Printf.sprintf "consumed %d bits, block frame holds %d" consumed
                expect_consumed)
-        else Ok ops
+        else Ok x
   in
   match t.frame.protection with
-  | Unprotected -> decode_and_check ~expect_consumed:t.block_bits.(i)
+  | Unprotected -> run_and_check ~expect_consumed:t.block_bits.(i)
   | p -> (
       let f = t.frame in
       let expect_payload = payload_bits t i in
@@ -136,15 +141,21 @@ let decode_block_checked_at t r i =
                        (protection_name p) crc)
               | Some _ -> (
                   Bits.Reader.seek r offset;
-                  (* decode_payload re-reads the length field. *)
-                  match decode_and_check ~expect_consumed:(f.len_bits + plen) with
-                  | Ok ops ->
+                  (* The payload decoder re-reads the length field. *)
+                  match run_and_check ~expect_consumed:(f.len_bits + plen) with
+                  | Ok _ as ok ->
                       (* Step over the already-verified guard word so the
                          cursor rests past the whole framed block — the
                          invariant the back-to-back chunk walk relies on. *)
                       Bits.Reader.advance r f.guard_bits;
-                      Ok ops
+                      ok
                   | Error _ as e -> e))))
+
+let decode_block_checked_at t r i =
+  checked_at t r i (fun r -> t.decode_payload r i)
+
+let transcode_block_checked_at t r w i =
+  checked_at t r i (fun r -> t.transcode_payload r w i)
 
 let decode_block_checked ?image t i =
   let image = match image with Some s -> s | None -> t.image in
@@ -248,11 +259,15 @@ let protect p t =
       done;
       let image = Bits.Writer.contents w in
       let len_bits' = len_bits in
+      (* Both payload decoders skip the length field; the guard word after
+         the payload is left unread (checked_at is the verifying path). *)
       let decode_payload r i =
-        (* Skip the length field; the guard word after the payload is left
-           unread (decode_block_checked is the verifying path). *)
         ignore (Bits.Reader.read_bits r ~width:len_bits');
         t.decode_payload r i
+      in
+      let transcode_payload r w i =
+        ignore (Bits.Reader.read_bits r ~width:len_bits');
+        t.transcode_payload r w i
       in
       {
         t with
@@ -268,5 +283,6 @@ let protect p t =
             protection_bits = n * (len_bits + gbits);
           };
         decode_payload;
+        transcode_payload;
         decode_block = block_decoder ~image ~offsets decode_payload;
       }

@@ -83,6 +83,18 @@ type t = {
           current position (which need not lie in this scheme's own image:
           fault campaigns decode corrupted copies).  May raise on malformed
           input; {!decode_block_checked} is the total wrapper. *)
+  transcode_payload : Bits.Reader.t -> Bits.Writer.t -> int -> unit;
+      (** [transcode_payload r w i] — {!decode_payload} straight to the
+          baseline image: append block [i]'s ops to [w] as 40-bit baseline
+          words ([Tepic.Encode.encode] of each decoded op) without building
+          any [Op.t].  It reads [r] in [decode_payload]'s order and raises
+          the same exception at the same cursor position, so the checked
+          wrapper {!transcode_block_checked_at} reports exactly
+          {!decode_block_checked_at}'s error.  On a raise, [w] holds a
+          partial block.  Its tables are built eagerly when the scheme is
+          built, and it keeps no mutable buffer across calls, so one
+          scheme may transcode from several domains at once (once its
+          Huffman LUTs are built). *)
   decode_block : int -> Tepic.Op.t list;
       (** decompress block [i] of the scheme's own image back to its exact
           original ops *)
@@ -126,6 +138,17 @@ val decode_block_checked :
     block's last framed bit (before any byte-alignment padding). *)
 val decode_block_checked_at :
   t -> Bits.Reader.t -> int -> (Tepic.Op.t list, decode_error) result
+
+(** [transcode_block_checked_at t r w i] — {!decode_block_checked_at}
+    through [transcode_payload]: the same length-field, CRC-guard and
+    consumed-bits checks, walked by the same code, with block [i]'s
+    baseline words appended to [w] instead of returned as ops.  [Ok ()]
+    leaves [w] holding [Tepic.Encode.encode_ops] of the ops
+    {!decode_block_checked_at} would return, and the cursor where it would
+    leave it; an [Error] is the same error, block, bit and reason (with a
+    partial block in [w]).  The parallel decoder's hot path. *)
+val transcode_block_checked_at :
+  t -> Bits.Reader.t -> Bits.Writer.t -> int -> (unit, decode_error) result
 
 (** [protect p t] — re-frame every block of [t] as
     [length | payload | guard] with a CRC-[p] guard word, byte-aligned like

@@ -2,8 +2,27 @@ let max_code_len = 13
 
 (* Packed stream symbols carry their width so that, e.g., a 10-bit zero and
    a 13-bit zero are distinct dictionary entries. *)
-let pack ~value ~width = value lor (width lsl 42)
-let unpack sym = (sym land ((1 lsl 42) - 1), sym lsr 42)
+let value_bits = 42
+let value_mask = (1 lsl value_bits) - 1
+let pack ~value ~width = value lor (width lsl value_bits)
+let unpack sym = (sym land value_mask, sym lsr value_bits)
+
+(* Transcoder plan of one format (see [build]). *)
+type plan = { widths : int array; scatter : int array array }
+
+(* OR a symbol's fields into the baseline word at their image positions,
+   following one stream's [Field_stream.scatter] triples. *)
+let place word sym sc =
+  let word = ref word in
+  let j = ref 0 in
+  while !j < Array.length sc do
+    word :=
+      !word
+      lor (((sym lsr Array.unsafe_get sc !j) land Array.unsafe_get sc (!j + 1))
+          lsl Array.unsafe_get sc (!j + 2));
+    j := !j + 3
+  done;
+  !word
 
 let mk name nstreams assign =
   {
@@ -104,12 +123,10 @@ let build ?(config = classic) program =
       (fun b -> Tepic.Program.block_num_ops b)
       program.Tepic.Program.blocks
   in
+  let book s = match books.(s) with Some b -> b | None -> assert false in
   let decode_payload r i =
     List.init counts.(i) (fun _ ->
-        let book0 =
-          match books.(0) with Some b -> b | None -> assert false
-        in
-        let sym0 = Huffman.Codebook.read book0 r in
+        let sym0 = Huffman.Codebook.read (book 0) r in
         let v0, w0 = unpack sym0 in
         let kind = Tepic.Field_stream.kind_of_stream0 config ~value:v0 ~width:w0 in
         let widths = Tepic.Field_stream.widths config kind in
@@ -117,16 +134,56 @@ let build ?(config = classic) program =
         values.(0) <- v0;
         for s = 1 to ns - 1 do
           if widths.(s) > 0 then begin
-            let book =
-              match books.(s) with Some b -> b | None -> assert false
-            in
-            let v, w = unpack (Huffman.Codebook.read book r) in
+            let v, w = unpack (Huffman.Codebook.read (book s) r) in
             if w <> widths.(s) then
               failwith "Stream_huffman: decoded symbol width mismatch";
             values.(s) <- v
           end
         done;
         Tepic.Field_stream.op_of_symbols config kind values)
+  in
+  (* The transcoder's plan per OPT|OPCODE point, through Encode's point
+     table: for the op's format, the symbol width each stream must deliver
+     and where each stream's fields land in the baseline word. *)
+  let plans =
+    Array.init 128 (fun p ->
+        Option.map
+          (fun kind ->
+            {
+              widths = Tepic.Field_stream.widths config kind;
+              scatter = Tepic.Field_stream.scatter config kind;
+            })
+          (Tepic.Encode.point_kind p))
+  in
+  let op_bits = Tepic.Format_spec.op_bits
+  and prefix_bits = Tepic.Format_spec.prefix_bits in
+  (* Every check of decode_payload, in its order and with its message:
+     Field_stream.kind_of_stream0's on the stream-0 symbol, then the width
+     check per stream.  Op.of_fields re-derives the opcode from the
+     assembled word, which cannot fail here: every stream-0 codebook
+     symbol is a real op's, so its width is its format's and the word's
+     OPT|OPCODE point is the one the plan was picked by. *)
+  let transcode_payload r w i =
+    for _ = 1 to counts.(i) do
+      let sym0 = Huffman.Codebook.read (book 0) r in
+      let v0 = sym0 land value_mask and w0 = sym0 lsr value_bits in
+      if w0 < prefix_bits then
+        invalid_arg "Field_stream.kind_of_stream0: symbol narrower than prefix";
+      match plans.((v0 lsr (w0 - prefix_bits)) land 0x7f) with
+      | None -> invalid_arg "Field_stream.kind_of_stream0: undefined opcode"
+      | Some plan ->
+          let word = ref (place 0 v0 plan.scatter.(0)) in
+          for s = 1 to ns - 1 do
+            let width = plan.widths.(s) in
+            if width > 0 then begin
+              let sym = Huffman.Codebook.read (book s) r in
+              if sym lsr value_bits <> width then
+                failwith "Stream_huffman: decoded symbol width mismatch";
+              word := place !word (sym land value_mask) plan.scatter.(s)
+            end
+          done;
+          Bits.Writer.add_bits w ~width:op_bits (Tepic.Encode.normalize !word)
+    done
   in
   let live_books =
     Array.to_list books |> List.filter_map (fun b -> b)
@@ -184,5 +241,6 @@ let build ?(config = classic) program =
          books;
        List.rev !srcs);
     decode_payload;
+    transcode_payload;
     decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

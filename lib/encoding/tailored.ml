@@ -35,7 +35,7 @@ let map_old m i =
   m.to_old.(i)
 
 (* Fields dropped entirely from the tailored encoding. *)
-let is_reserved = function "RES" | "RES2" | "RSV" -> true | _ -> false
+let is_reserved = Tepic.Format_spec.is_reserved
 
 (* Raw (non-dictionary) fields: values pass through at reduced width.
    Branch targets must stay raw so the linker can still patch them
@@ -291,6 +291,118 @@ let decode_op spec r =
     raws;
   Tepic.Op.of_fields kind (Hashtbl.find tbl)
 
+(* The transcoder: [decode_op] straight to the 40-bit baseline word.  Per
+   OPT|OPCODE point, a plan of the op's non-prefix, non-reserved fields in
+   layout order — tailored width, position in the baseline word, and how
+   the value maps back.  Reserved fields stay zero in the word. *)
+type field_map_back =
+  | Raw  (* passes through at reduced width *)
+  | Mapped of dense_map  (* a field map, or the map of a fixed register class *)
+  | By_tcs of { tcs1 : dense_map; other : dense_map }
+      (* register file chosen by the op's TCS value *)
+
+type field_plan = { width : int; shift : int; back : field_map_back }
+
+type op_plan = {
+  fields : field_plan array;
+  tcs_slot : int;  (* index of TCS in [fields], or -1 *)
+}
+
+let op_plan spec (opcode : Tepic.Opcode.t) =
+  let kind = Tepic.Opcode.kind opcode in
+  let fields = ref [] and shift = ref Tepic.Format_spec.op_bits in
+  let tcs_slot = ref (-1) in
+  List.iter
+    (fun fd ->
+      let name = fd.Tepic.Format_spec.fname in
+      shift := !shift - fd.Tepic.Format_spec.width;
+      if
+        not
+          (List.mem name [ "T"; "S"; "OPT"; "OPCODE" ] || is_reserved name)
+      then begin
+        if name = "TCS" then tcs_slot := List.length !fields;
+        let back =
+          match
+            ( reg_class_of_field opcode ~tcs:1 name,
+              reg_class_of_field opcode ~tcs:0 name )
+          with
+          | Some c1, Some c0 when c1 <> c0 ->
+              By_tcs { tcs1 = reg_map spec c1; other = reg_map spec c0 }
+          | Some c, _ -> Mapped (reg_map spec c)
+          | None, _ ->
+              if is_raw name then Raw else Mapped (field_map spec name)
+        in
+        fields :=
+          { width = field_width spec kind fd; shift = !shift; back } :: !fields
+      end)
+    (Tepic.Format_spec.layout kind);
+  { fields = Array.of_list (List.rev !fields); tcs_slot = !tcs_slot }
+
+(* [transcode_op] reads and raises exactly like [decode_op]: the header,
+   then every field's raw bits (into [buf], one slot per plan field), then
+   TCS, then each field's map in layout order. *)
+let transcoder spec =
+  let omaps =
+    Array.init 4 (fun ty ->
+        List.assoc_opt (Tepic.Opcode.optype_of_code ty) spec.opcode_maps)
+  in
+  let plans =
+    Array.init 128 (fun p ->
+        match Tepic.Encode.point_kind p with
+        | None -> None
+        | Some _ ->
+            Option.map (op_plan spec)
+              (Tepic.Opcode.of_code
+                 (Tepic.Opcode.optype_of_code (p lsr 5))
+                 (p land 31)))
+  in
+  let tcs_map = field_map spec "TCS" in
+  let max_fields =
+    Array.fold_left
+      (fun a p ->
+        match p with Some p -> max a (Array.length p.fields) | None -> a)
+      0 plans
+  in
+  let transcode_op r w buf =
+    let tail = Bits.Reader.read_bits r ~width:1 in
+    let sp = if spec.spec_bit then Bits.Reader.read_bits r ~width:1 else 0 in
+    let ty = Bits.Reader.read_bits r ~width:2 in
+    let omap = match omaps.(ty) with Some m -> m | None -> raise Not_found in
+    let code = map_old omap (Bits.Reader.read_bits r ~width:spec.opcode_bits) in
+    match plans.((ty lsl 5) lor code) with
+    | None -> invalid_arg "Tailored.decode_op: bad opcode"
+    | Some plan ->
+        let fields = plan.fields in
+        for j = 0 to Array.length fields - 1 do
+          let width = fields.(j).width in
+          buf.(j) <- (if width > 0 then Bits.Reader.read_bits r ~width else 0)
+        done;
+        let tcs =
+          if plan.tcs_slot >= 0 then map_old tcs_map buf.(plan.tcs_slot) else 0
+        in
+        (* T, S, OPT and OPCODE: the 9-bit prefix atop the 40-bit word. *)
+        let word =
+          ref ((tail lsl 39) lor (sp lsl 38) lor (ty lsl 36) lor (code lsl 31))
+        in
+        for j = 0 to Array.length fields - 1 do
+          let f = fields.(j) in
+          let v =
+            match f.back with
+            | Raw -> buf.(j)
+            | Mapped m -> map_old m buf.(j)
+            | By_tcs { tcs1; other } ->
+                map_old (if tcs = 1 then tcs1 else other) buf.(j)
+          in
+          word := !word lor (v lsl f.shift)
+        done;
+        Bits.Writer.add_bits w ~width:Tepic.Format_spec.op_bits !word
+  in
+  fun counts r w i ->
+    let buf = Array.make max_fields 0 in
+    for _ = 1 to counts.(i) do
+      transcode_op r w buf
+    done
+
 let build_with_spec program =
   let spec = finalize_spec (spec_of_program program) in
   let image, offsets, sizes =
@@ -304,6 +416,7 @@ let build_with_spec program =
   let decode_payload r i =
     List.init counts.(i) (fun _ -> decode_op spec r)
   in
+  let transcode_payload = transcoder spec counts in
   (* The tailored "table" cost is the PLA's value maps: every dense map
      entry stores its original value. *)
   let map_bits m =
@@ -336,6 +449,7 @@ let build_with_spec program =
              };
          ]);
       decode_payload;
+      transcode_payload;
       decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
     },
     spec )

@@ -10,12 +10,16 @@
 
    A chunk is only worth a worker domain when its decode work dwarfs the
    spawn and join, so the planner takes a floor on chunk size.  The
-   default floor [chunk_floor_bits] is one constant.  On a 2-core x86-64
-   VM, 16 Kibit (2 KB) of compressed input is 0.5-4 ms of end-to-end
-   decode (the perf/pardecode jobs=1 rows run at 0.5-3.8 MB/s), while a
-   bare Domain.spawn + join takes 0.1-0.25 ms, with rare outliers near
-   2 ms.  The smallest SPEC image (compress under full Huffman, 27 Kibit)
-   still splits at jobs=2. *)
+   default floor [chunk_floor_bits] is one constant: 1 Mibit (128 KB) of
+   compressed input.  On a 2-core x86-64 VM a bare Domain.spawn + join
+   takes 0.12-0.23 ms (p10-p50 over 200 spawns), with a p90 of 2.5 ms on
+   a shared host, while the transcoding decoders run at 8-25 MB/s
+   (Huffman, tailored) up to 55-110 MB/s (dict, base) end to end: a
+   1 Mibit chunk is 1.2 ms of work for the fastest scheme and 16 ms for
+   the slowest.  Smaller floors lost: over the 132 rom-decode images
+   (27-192 Kibit each), jobs=2 at a 16 Kibit floor split every image and
+   took 128 ms against 90 ms at jobs=1.  At this floor no image of the
+   SPEC-like suite splits; tests force splits with a zero floor. *)
 
 type chunk = {
   id : int;  (* position in the plan, 0-based *)
@@ -25,7 +29,7 @@ type chunk = {
   bits : int;  (* total payload bits over the chunk's segments *)
 }
 
-let chunk_floor_bits = 16_384
+let chunk_floor_bits = 1_048_576
 
 (* [plan ~offsets ~sizes ~jobs ~min_bits] — cut [n] segments into at most
    [jobs] contiguous chunks of >= [min_bits] payload bits each (except

@@ -16,8 +16,9 @@ type chunk = {
   bits : int;  (** total payload bits over the chunk's segments *)
 }
 
-(** Default chunk floor, in payload bits: 16_384.  Below this a chunk's
-    decode work no longer dwarfs the spawn and join of its worker. *)
+(** Default chunk floor, in payload bits: 1_048_576 (1 Mibit).  Below
+    this a chunk's decode work no longer dwarfs the spawn and join of its
+    worker. *)
 val chunk_floor_bits : int
 
 (** [plan ~offsets ~sizes ~jobs ~min_bits] — cut the segments into at

@@ -23,3 +23,23 @@ val to_int : Op.t -> int
 
 (** [of_int v] decodes a 40-bit integer image. *)
 val of_int : int -> Op.t
+
+(** {1 Transcoding without [Op.t]}
+
+    The compressed-image transcoders rebuild baseline words without
+    materializing ops; these two entry points give them the format
+    decision and the canonical form of a word from one 128-entry table
+    keyed by the 7-bit OPT|OPCODE point (bits 37..31 of the 40-bit
+    image), built from {!Opcode} and {!Format_spec.layout}. *)
+
+(** [point_kind p] — the format selected by the OPT|OPCODE point
+    [p = (opt lsl 5) lor opcode]; [None] for an undefined point or [p]
+    outside [0, 127]. *)
+val point_kind : int -> Opcode.kind option
+
+(** [normalize v] — the canonical 40-bit image of [v]: its reserved fields
+    ([RES], [RES2], [RSV]) zeroed, every other bit kept.  Equal to
+    [to_int (of_int v)], without building the op: on an undefined opcode
+    point it raises the same [Invalid_argument] as {!decode}, and on a [v]
+    outside [0, 2^40) the same as {!of_int}. *)
+val normalize : int -> int

@@ -68,6 +68,32 @@ let op_of_symbols t kind values =
     per;
   Op.of_fields kind (Hashtbl.find tbl)
 
+let scatter t kind =
+  let image_shift = Hashtbl.create 17 in
+  ignore
+    (List.fold_left
+       (fun left fd ->
+         let left = left - fd.Format_spec.width in
+         Hashtbl.replace image_shift fd.Format_spec.fname left;
+         left)
+       Format_spec.op_bits (Format_spec.layout kind));
+  Array.map
+    (fun fds ->
+      let total = List.fold_left (fun a fd -> a + fd.Format_spec.width) 0 fds in
+      let consumed = ref 0 in
+      Array.concat
+        (List.map
+           (fun fd ->
+             let width = fd.Format_spec.width in
+             consumed := !consumed + width;
+             [|
+               total - !consumed;
+               (1 lsl width) - 1;
+               Hashtbl.find image_shift fd.Format_spec.fname;
+             |])
+           fds))
+    (stream_fields t kind)
+
 let kind_of_stream0 _t ~value ~width =
   (* Every format lays out T(1) S(1) OPT(2) OPCODE(5) first and validation
      pins those fields to stream 0, so in any configuration the stream-0

@@ -36,6 +36,14 @@ val symbols : t -> Op.t -> (int * int) array
     values (widths implied by [kind]).  Inverse of {!symbols}. *)
 val op_of_symbols : t -> Opcode.kind -> int array -> Op.t
 
+(** [scatter t kind] — where each stream's symbol bits land in the 40-bit
+    baseline image of a [kind] op.  Per stream, a flat array of
+    [(symbol shift, field mask, image shift)] triples, one per field in
+    layout order: OR-ing [((sym lsr a) land m) lsl b] over every triple of
+    every stream's symbol gives the image {!op_of_symbols} reassembles,
+    reserved fields included as they stand in the symbols. *)
+val scatter : t -> Opcode.kind -> int array array
+
 (** [kind_of_stream0 t ~value ~width] decodes the format from a stream-0
     symbol: extracts OPT and OPCODE from their fixed positions.  Raises
     [Invalid_argument] for undefined opcode points. *)

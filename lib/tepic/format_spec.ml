@@ -61,6 +61,8 @@ let layout : Opcode.kind -> field list = function
   | K_store -> store
   | K_branch -> branch
 
+let is_reserved = function "RES" | "RES2" | "RSV" -> true | _ -> false
+
 let kinds : Opcode.kind list =
   [ K_alu; K_cmpp; K_ldi; K_fpu; K_load; K_store; K_branch ]
 

@@ -28,6 +28,10 @@ val prefix : field list
 (** [prefix_bits] is the total width of {!prefix} (9 bits). *)
 val prefix_bits : int
 
+(** [is_reserved name] holds for the reserved fields ([RES], [RES2],
+    [RSV]): always encoded as zero, carrying no operand. *)
+val is_reserved : string -> bool
+
 (** All distinct field names across formats, in a stable order. *)
 val all_field_names : string list
 

@@ -233,6 +233,7 @@ let dummy_scheme ~image ~offsets ~bits =
     books = [];
     model = [];
     decode_payload = (fun _ _ -> []);
+    transcode_payload = (fun _ _ _ -> ());
     decode_block = (fun _ -> []);
   }
 

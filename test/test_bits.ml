@@ -263,6 +263,83 @@ let prop_bits_needed_sufficient =
       let w = Bits.bits_needed n in
       1 lsl w >= n && (w = 1 || 1 lsl (w - 1) < n))
 
+(* The word-wise kernels against bit loops.  Writer.add_bits ORs most
+   fields in with one 64-bit load/store, and Reader.peek_bits reads wide
+   fields with one 64-bit load: both must equal add_bit / read_bit loops
+   at every bit offset 0-7, every width, and every distance from the end
+   of the buffer — a writer grown from one byte, a reader over strings of
+   1 to 17 bytes (the zero-padded tail law included). *)
+let random_bits rng width =
+  let v =
+    (Random.State.bits rng lsl 60)
+    lxor (Random.State.bits rng lsl 30)
+    lxor Random.State.bits rng
+  in
+  if width >= 62 then v land max_int else v land ((1 lsl width) - 1)
+
+let test_word_kernels_vs_bit_loops () =
+  let rng = Random.State.make [| 40 |] in
+  for off = 0 to 7 do
+    for width = 1 to 62 do
+      let ones = if width = 62 then max_int else (1 lsl width) - 1 in
+      List.iter
+        (fun v ->
+          for lead_bytes = 0 to 9 do
+            let w = Bits.Writer.create ~initial_bytes:1 () in
+            let expect = Bits.Writer.create ~initial_bytes:1 () in
+            for _ = 1 to (8 * lead_bytes) + off do
+              let b = Random.State.bool rng in
+              Bits.Writer.add_bit w b;
+              Bits.Writer.add_bit expect b
+            done;
+            Bits.Writer.add_bits w ~width v;
+            Bits.Writer.add_bits w ~width:3 0b101;
+            for k = width - 1 downto 0 do
+              Bits.Writer.add_bit expect ((v lsr k) land 1 = 1)
+            done;
+            List.iter (Bits.Writer.add_bit expect) [ true; false; true ];
+            let label =
+              Printf.sprintf "add_bits off=%d width=%d lead=%d" off width
+                lead_bytes
+            in
+            check (label ^ " length") (Bits.Writer.length expect)
+              (Bits.Writer.length w);
+            Alcotest.(check string) label (Bits.Writer.contents expect)
+              (Bits.Writer.contents w)
+          done)
+        [ ones; random_bits rng width ]
+    done
+  done;
+  for len = 1 to 17 do
+    let s = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let nbits = 8 * len in
+    for pos = 0 to nbits do
+      let serial width =
+        let r = Bits.Reader.of_string s in
+        Bits.Reader.seek r pos;
+        let avail = min width (nbits - pos) in
+        let v = ref 0 in
+        for _ = 1 to avail do
+          v := (!v lsl 1) lor if Bits.Reader.read_bit r then 1 else 0
+        done;
+        !v lsl (width - avail)
+      in
+      let r = Bits.Reader.of_string s in
+      for width = 1 to 62 do
+        Bits.Reader.seek r pos;
+        let label = Printf.sprintf "len=%d pos=%d width=%d" len pos width in
+        if width <= 56 then
+          check ("peek_bits " ^ label) (serial width)
+            (Bits.Reader.peek_bits r ~width);
+        if width <= nbits - pos then begin
+          check ("read_bits " ^ label) (serial width)
+            (Bits.Reader.read_bits r ~width);
+          check ("read_bits cursor " ^ label) (pos + width) (Bits.Reader.pos r)
+        end
+      done
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "writer/reader basic" `Quick test_writer_reader_basic;
@@ -274,6 +351,8 @@ let suite =
     Alcotest.test_case "popcount" `Quick test_popcount;
     Alcotest.test_case "bits_needed" `Quick test_bits_needed;
     Alcotest.test_case "flips_between" `Quick test_flips;
+    Alcotest.test_case "word kernels = bit loops" `Quick
+      test_word_kernels_vs_bit_loops;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip_full_range;
     QCheck_alcotest.to_alcotest prop_align_byte;

@@ -19,6 +19,7 @@ let () =
       ("faults", Test_faults.suite);
       ("parallel", Test_parallel.suite);
       ("pardecode", Test_pardecode.suite);
+      ("transcode", Test_transcode.suite);
       ("obs", Test_obs.suite);
       ("obs_ledger", Test_obs_ledger.suite);
       ("trace_stream", Test_trace_stream.suite);

@@ -166,8 +166,8 @@ let test_bitexact_every_scheme () =
         (name ^ ": sequential decode equals baseline image")
         true (String.equal seq truth);
       List.iter (fun jobs -> check_forced_split ~name ~seq ~jobs sc) [ 2; 4 ];
-      (* The default chunk floor still splits every compress image: the
-         smallest, full Huffman, is 27 Kibit against a 16 Kibit floor. *)
+      (* At the default chunk floor the decode follows the planner's cut
+         exactly. *)
       match Cccs.Par_decode.decode ~jobs:2 ~force:true sc with
       | Error e ->
           Alcotest.failf "%s default floor: %s" name
@@ -176,9 +176,31 @@ let test_bitexact_every_scheme () =
           Alcotest.(check bool)
             (name ^ " default floor bit-exact")
             true (String.equal img seq);
-          check (name ^ " default floor splits in two") 2
+          check
+            (name ^ " default floor follows the plan")
+            (Array.length
+               (Huffman.Par_decode.plan
+                  ~offsets:sc.Encoding.Scheme.block_offset_bits
+                  ~sizes:sc.Encoding.Scheme.block_bits ~jobs:2
+                  ~min_bits:Huffman.Par_decode.chunk_floor_bits))
             rep.Cccs.Par_decode.chunks)
     (registry r)
+
+(* [report.jobs] counts the workers the decode really used: an image
+   under the floor is one chunk, decoded in place, whatever was asked. *)
+let test_report_jobs_used () =
+  let r = load "fir" in
+  let sc = (Cccs.Experiments.schemes_of r).Cccs.Experiments.base in
+  Alcotest.(check bool)
+    "fir base is under the chunk floor" true
+    (8 * String.length sc.Encoding.Scheme.image
+    < Huffman.Par_decode.chunk_floor_bits);
+  match Cccs.Par_decode.decode ~jobs:2 ~force:true sc with
+  | Error e ->
+      Alcotest.failf "fir base: %s" (Encoding.Scheme.decode_error_to_string e)
+  | Ok (_, rep) ->
+      check "one chunk" 1 rep.Cccs.Par_decode.chunks;
+      check "one worker used" 1 rep.Cccs.Par_decode.jobs
 
 (* The differential contract on real splits: every registry scheme of
    [fir], framed or not, cut at its ATT offsets into 2 or 4 chunks, must
@@ -266,4 +288,6 @@ let suite =
       test_corrupt_stream_equality;
     Alcotest.test_case "obs: chunk spans on the Decode stage" `Quick
       test_obs_spans_decode_stage;
+    Alcotest.test_case "report counts the workers used" `Quick
+      test_report_jobs_used;
   ]

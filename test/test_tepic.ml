@@ -266,6 +266,40 @@ let test_field_stream_prefix_enforced () =
     (Invalid_argument "Field_stream bad: prefix field OPT must be in stream 0")
     (fun () -> Tepic.Field_stream.validate bad)
 
+(* The opcode-point table against the Op.t round trip it shortcuts:
+   over every 7-bit OPT|OPCODE point, with random T, S and field bits,
+   [normalize v] is [to_int (of_int v)] or raises the same
+   Invalid_argument; [point_kind] names the format [of_int] decodes. *)
+let test_normalize_matches_op_path () =
+  let rng = Random.State.make [| 128 |] in
+  let outcome f v =
+    match f v with
+    | x -> Ok x
+    | exception Invalid_argument m -> Error m
+  in
+  let roundtrip v = Tepic.Encode.to_int (Tepic.Encode.of_int v) in
+  let same v =
+    Alcotest.(check (result int string))
+      (Printf.sprintf "normalize %#x" v)
+      (outcome roundtrip v)
+      (outcome Tepic.Encode.normalize v)
+  in
+  for p = 0 to 127 do
+    for _ = 1 to 64 do
+      let low = (Random.State.bits rng lsl 1) lor Random.State.int rng 2 in
+      let v = (Random.State.int rng 4 lsl 38) lor (p lsl 31) lor low in
+      same v;
+      Alcotest.(check (option string))
+        (Printf.sprintf "point_kind %d" p)
+        (Option.map
+           (fun op -> Tepic.Format_spec.kind_to_string (Tepic.Op.kind op))
+           (Result.to_option (outcome Tepic.Encode.of_int v)))
+        (Option.map Tepic.Format_spec.kind_to_string
+           (Tepic.Encode.point_kind p))
+    done
+  done;
+  List.iter same [ -1; 1 lsl 40; max_int; min_int ]
+
 let suite =
   [
     Alcotest.test_case "Table 2: all formats are 40 bits" `Quick
@@ -291,4 +325,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_to_int_roundtrip;
     QCheck_alcotest.to_alcotest prop_field_stream_roundtrip;
     QCheck_alcotest.to_alcotest prop_field_stream_widths_sum;
+    Alcotest.test_case "normalize = to_int (of_int v)" `Quick
+      test_normalize_matches_op_path;
   ]
