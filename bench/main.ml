@@ -13,23 +13,11 @@ open Toolkit
 (* Shared fixtures: one small SPEC-like program and one kernel.        *)
 (* ------------------------------------------------------------------ *)
 
-let fixture =
-  lazy
-    (let e =
-       match Workloads.Suite.find "compress" with
-       | Some e -> e
-       | None -> assert false
-     in
-     Cccs.Workload_run.load e)
+let load name =
+  lazy (Cccs.Workload_run.load (Option.get (Workloads.Suite.find name)))
 
-let kernel =
-  lazy
-    (let e =
-       match Workloads.Suite.find "fir" with
-       | Some e -> e
-       | None -> assert false
-     in
-     Cccs.Workload_run.load e)
+let fixture = load "compress"
+let kernel = load "fir"
 
 let program () = (Lazy.force fixture).Cccs.Workload_run.compiled.Cccs.Pipeline.program
 let trace () = (Lazy.force fixture).Cccs.Workload_run.exec.Emulator.Exec.trace
@@ -40,18 +28,11 @@ let trace () = (Lazy.force fixture).Cccs.Workload_run.exec.Emulator.Exec.trace
 
 (* Every mode appends its result rows to the ledger (CCCS_LEDGER=off
    disables), so `cccs perfdiff` can compare consecutive runs. *)
-let ledger_append ~kind ?(schemes = []) ?(meta = []) rows =
-  if Cccs_obs.Ledger.enabled () then
-    try
-      Cccs_obs.Ledger.append
-        ~path:(Cccs_obs.Ledger.default_path ())
-        (Cccs_obs.Ledger.make ~kind
-           ~git_rev:(Cccs_obs.Ledger.git_rev ())
-           ~timestamp:(Unix.gettimeofday ())
-           ~cores:(Cccs.Parallel.cores ())
-           ~jobs:(Cccs.Parallel.default_jobs ())
-           ~schemes ~meta rows)
-    with Sys_error msg -> Printf.eprintf "ledger: %s\n%!" msg
+let ledger_append ~kind ?schemes rows =
+  Cccs_obs.Ledger.record ~kind ~timestamp:(Unix.gettimeofday ())
+    ~cores:(Cccs.Parallel.cores ()) ~jobs:(Cccs.Parallel.default_jobs ())
+    ?schemes rows
+  |> Result.iter_error (Printf.eprintf "ledger: %s\n%!")
 
 (* --flame FILE: one recorder for the whole run; each phase below wraps
    itself in a Bench-stage span through [bspan]. *)
@@ -205,108 +186,74 @@ let bench_extensions =
                ~scheme:(Lazy.force base) ~att:(Lazy.force att) (trace ())));
     ]
 
-(* Translation validator: abstract decode + resync analysis, per
-   scheme × workload, so a validator slowdown shows up in BENCH_obs.json
-   like any other pipeline-stage regression. *)
-let bench_validate =
-  let tests_of run wl =
-    let s = lazy (Cccs.Experiments.schemes_of (Lazy.force run)) in
-    let prog =
-      lazy
-        (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-    in
-    let check sc_of =
-      Staged.stage (fun () ->
-          let sl = Lazy.force s in
-          Cccs.Analysis.Image_check.check_scheme ~workload:wl
-            ~program:(Lazy.force prog)
-            ~tailored:sl.Cccs.Experiments.tailored_spec ~resync_blocks:2
-            (sc_of sl))
-    in
-    List.map
-      (fun (name, sc_of) -> Test.make ~name:(wl ^ ":" ^ name) (check sc_of))
-      [
-        ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
-        ("byte", fun sl -> sl.Cccs.Experiments.byte);
-        ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
-        ("full", fun sl -> sl.Cccs.Experiments.full);
-        ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
-        ("dict", fun sl -> sl.Cccs.Experiments.dict);
-      ]
+(* The verifier, one group per check and one row per scheme × workload,
+   so a slowdown shows up in BENCH_obs.json like any other pipeline-stage
+   regression:
+   - validate: abstract decode + resync analysis;
+   - certify: DFA construction + exhaustive totality, LUT and resync
+     proofs, all static work over the published tables, so its cost is
+     independent of program length and should stay flat;
+   - wcet: CFG recovery + must/may fixpoint + WCET + the full
+     simulator-replay soundness check — the end-to-end cost of one
+     `cccs wcet` row. *)
+let bench_verifier =
+  let schemes =
+    [
+      ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
+      ("byte", fun sl -> sl.Cccs.Experiments.byte);
+      ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
+      ("full", fun sl -> sl.Cccs.Experiments.full);
+      ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
+      ("dict", fun sl -> sl.Cccs.Experiments.dict);
+    ]
   in
-  Test.make_grouped ~name:"validate" ~fmt:"%s/%s"
-    (tests_of fixture "compress" @ tests_of kernel "fir")
-
-(* Decoder certification: DFA construction + exhaustive totality, LUT and
-   resync proofs per scheme — all static work over the published tables,
-   so its cost is independent of program length and should stay flat. *)
-let bench_certify =
-  let tests_of run wl =
-    let s = lazy (Cccs.Experiments.schemes_of (Lazy.force run)) in
-    let prog =
-      lazy
-        (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-    in
-    let check sc_of =
-      Staged.stage (fun () ->
-          Cccs.Analysis.Certify.certify_scheme ~workload:wl
-            ~program:(Lazy.force prog)
-            (sc_of (Lazy.force s)))
-    in
-    List.map
-      (fun (name, sc_of) -> Test.make ~name:(wl ^ ":" ^ name) (check sc_of))
-      [
-        ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
-        ("byte", fun sl -> sl.Cccs.Experiments.byte);
-        ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
-        ("full", fun sl -> sl.Cccs.Experiments.full);
-        ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
-        ("dict", fun sl -> sl.Cccs.Experiments.dict);
-      ]
+  let checks =
+    [
+      ( "validate",
+        fun ~workload ~program ~trace:_ sl sc ->
+          ignore
+            (Cccs.Analysis.Image_check.check_scheme ~workload ~program
+               ~tailored:sl.Cccs.Experiments.tailored_spec ~resync_blocks:2 sc)
+      );
+      ( "certify",
+        fun ~workload ~program ~trace:_ _ sc ->
+          ignore (Cccs.Analysis.Certify.certify_scheme ~workload ~program sc) );
+      ( "wcet",
+        fun ~workload ~program ~trace sl sc ->
+          ignore
+            (Cccs.Analysis.Timing_check.analyze_scheme ~workload ~program
+               ~tailored:sl.Cccs.Experiments.tailored_spec ~trace sc) );
+    ]
   in
-  Test.make_grouped ~name:"certify" ~fmt:"%s/%s"
-    (tests_of fixture "compress" @ tests_of kernel "fir")
-
-(* Static fetch-timing analysis: CFG recovery + must/may fixpoint + WCET
-   + the full simulator-replay soundness check, per scheme × workload —
-   the end-to-end cost of one `cccs wcet` row. *)
-let bench_wcet =
-  let tests_of run wl =
+  let tests_of check (run, workload) =
     let s = lazy (Cccs.Experiments.schemes_of (Lazy.force run)) in
-    let prog =
-      lazy
-        (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
+    let program =
+      lazy (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
     in
-    let tr =
+    let trace =
       lazy (Lazy.force run).Cccs.Workload_run.exec.Emulator.Exec.trace
     in
-    let check sc_of =
-      Staged.stage (fun () ->
-          let sl = Lazy.force s in
-          Cccs.Analysis.Timing_check.analyze_scheme ~workload:wl
-            ~program:(Lazy.force prog)
-            ~tailored:sl.Cccs.Experiments.tailored_spec
-            ~trace:(Lazy.force tr) (sc_of sl))
-    in
     List.map
-      (fun (name, sc_of) -> Test.make ~name:(wl ^ ":" ^ name) (check sc_of))
-      [
-        ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
-        ("byte", fun sl -> sl.Cccs.Experiments.byte);
-        ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
-        ("full", fun sl -> sl.Cccs.Experiments.full);
-        ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
-        ("dict", fun sl -> sl.Cccs.Experiments.dict);
-      ]
+      (fun (name, sc_of) ->
+        Test.make ~name:(workload ^ ":" ^ name)
+          (Staged.stage (fun () ->
+               let sl = Lazy.force s in
+               check ~workload ~program:(Lazy.force program)
+                 ~trace:(Lazy.force trace) sl (sc_of sl))))
+      schemes
   in
-  Test.make_grouped ~name:"wcet" ~fmt:"%s/%s"
-    (tests_of fixture "compress" @ tests_of kernel "fir")
+  List.map
+    (fun (group, check) ->
+      Test.make_grouped ~name:group ~fmt:"%s/%s"
+        (List.concat_map (tests_of check)
+           [ (fixture, "compress"); (kernel, "fir") ]))
+    checks
 
 let all_tests =
   Test.make_grouped ~name:"cccs" ~fmt:"%s %s"
-    [ bench_fig5; bench_fig7; bench_fig10; bench_fig13; bench_fig14;
-      bench_substrate; bench_extensions; bench_validate; bench_certify;
-      bench_wcet ]
+    ([ bench_fig5; bench_fig7; bench_fig10; bench_fig13; bench_fig14;
+       bench_substrate; bench_extensions ]
+    @ bench_verifier)
 
 let run_benchmarks () =
   let ols =
@@ -657,10 +604,9 @@ let write_perf_rows ~prefixes rows =
   let existing =
     if not (Sys.file_exists "BENCH_perf.json") then []
     else
-      let ic = open_in_bin "BENCH_perf.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match parse s with
+      match
+        parse (In_channel.with_open_bin "BENCH_perf.json" In_channel.input_all)
+      with
       | Error _ -> []
       | Ok j -> (
           match Option.bind (member "results" j) to_list with

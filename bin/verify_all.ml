@@ -208,32 +208,7 @@ let check_workload ~emit (e : Workloads.Suite.entry) =
   let c = r.Cccs.Workload_run.compiled in
   let prog = c.Cccs.Pipeline.program in
   let res = r.Cccs.Workload_run.exec in
-  let ref_res =
-    Emulator.Ref_interp.run ~max_blocks:3_000_000 c.Cccs.Pipeline.alloc_cfg
-  in
-  let mem_ok =
-    Emulator.Ref_interp.mem_checksum ref_res
-    = Emulator.Machine.mem_checksum res.Emulator.Exec.machine
-  in
-  let trace_ok =
-    Emulator.Trace.to_array res.Emulator.Exec.trace
-    = Emulator.Trace.to_array ref_res.Emulator.Ref_interp.trace
-  in
-  let schemes_ok =
-    try
-      List.iter
-        (fun build -> Encoding.Scheme.verify (build prog) prog)
-        [
-          Encoding.Baseline.build;
-          Encoding.Byte_huffman.build;
-          Encoding.Full_huffman.build;
-          Encoding.Tailored.build;
-          Encoding.Dictionary.build;
-          (fun p -> Encoding.Stream_huffman.build p);
-        ];
-      true
-    with Failure _ -> false
-  in
+  let v = Cccs.Experiments.verify r in
   (* Fixed-seed protected fault campaign: CRC framing must detect every
      exposed flip (zero silent corruptions) and must actually be exercised
      (nonzero detections). *)
@@ -350,9 +325,9 @@ let check_workload ~emit (e : Workloads.Suite.entry) =
   let row =
     {
       name = r.Cccs.Workload_run.name;
-      mem_ok;
-      trace_ok;
-      schemes_ok;
+      mem_ok = v.Cccs.Experiments.memory_ok;
+      trace_ok = v.Cccs.Experiments.trace_ok;
+      schemes_ok = List.for_all snd v.Cccs.Experiments.decode_back;
       lint_ok;
       lint_warnings = List.length diags - List.length lint_errors;
       validate_ok;
@@ -479,31 +454,19 @@ let () =
   let ok = List.for_all row_ok rows in
   (* Ledger: one row per workload, so the next sweep's perf-trend column
      (and `cccs perfdiff --kind verify_all`) has this run as baseline. *)
-  if Cccs_obs.Ledger.enabled () then begin
-    let ledger_rows =
-      List.map
-        (fun r ->
-          Cccs_obs.Json.Obj
-            [
-              ("name", Cccs_obs.Json.Str r.name);
-              ("seconds", Cccs_obs.Json.Num r.seconds);
-              ("ok", Cccs_obs.Json.Bool (row_ok r));
-            ])
-        rows
-    in
-    try
-      Cccs_obs.Ledger.append
-        ~path:(Cccs_obs.Ledger.default_path ())
-        (Cccs_obs.Ledger.make ~kind:"verify_all"
-           ~git_rev:(Cccs_obs.Ledger.git_rev ())
-           ~timestamp:(Unix.gettimeofday ())
-           ~cores:(Cccs.Parallel.cores ())
-           ~jobs
-           ~meta:[ ("seed", Cccs_obs.Json.int fault_seed) ]
-           ledger_rows)
-    with Sys_error msg ->
-      Printf.eprintf "verify_all: ledger: %s\n%!" msg
-  end;
+  Cccs_obs.Ledger.record ~kind:"verify_all" ~timestamp:(Unix.gettimeofday ())
+    ~cores:(Cccs.Parallel.cores ()) ~jobs
+    ~meta:[ ("seed", Cccs_obs.Json.int fault_seed) ]
+    (List.map
+       (fun r ->
+         Cccs_obs.Json.Obj
+           [
+             ("name", Cccs_obs.Json.Str r.name);
+             ("seconds", Cccs_obs.Json.Num r.seconds);
+             ("ok", Cccs_obs.Json.Bool (row_ok r));
+           ])
+       rows)
+  |> Result.iter_error (Printf.eprintf "verify_all: ledger: %s\n%!");
   if json_mode then
     print_endline (Cccs_obs.Json.to_string (json_report ~jobs rows ok));
   if ok then Printf.fprintf out "verify_all: all workloads verified\n"

@@ -3,11 +3,7 @@ include Cccs_analysis
 let target_of_run (r : Workload_run.run) =
   let c = r.Workload_run.compiled in
   let s = Experiments.schemes_of r in
-  let schemes =
-    [ s.Experiments.base; s.Experiments.byte ]
-    @ List.map snd s.Experiments.streams
-    @ [ s.Experiments.full; s.Experiments.tailored; s.Experiments.dict ]
-  in
+  let schemes = List.map snd (Experiments.every_scheme s) in
   Pass.target ~cfg:c.Pipeline.alloc_cfg ~program:c.Pipeline.program ~schemes
     ~tailored:s.Experiments.tailored_spec r.Workload_run.name
 

@@ -44,6 +44,63 @@ let all_schemes s =
   @ s.streams
   @ [ ("full", s.full); ("tailored", s.tailored) ]
 
+let every_scheme s = all_schemes s @ [ ("dict", s.dict) ]
+
+(* The four Figure 13 fetch models.  The ideal and base models share one
+   ATT, built on first use. *)
+let fetch_models (r : Workload_run.run) =
+  let s = schemes_of r in
+  let prog = r.Workload_run.compiled.Pipeline.program in
+  let trace = r.Workload_run.exec.Emulator.Exec.trace in
+  let cfg = Fetch.Config.default in
+  let cfg_base = Fetch.Config.default_base in
+  let att sc c =
+    lazy (Encoding.Att.build sc ~line_bits:c.Fetch.Config.line_bits prog)
+  in
+  let att_base = att s.base cfg_base in
+  let run model cfg sc att ?obs () =
+    Fetch.Sim.run ?obs ~model ~cfg ~scheme:sc ~att:(Lazy.force att) trace
+  in
+  [
+    ( "ideal",
+      fun ?obs () -> Fetch.Sim.run_ideal ?obs ~att:(Lazy.force att_base) trace
+    );
+    ("base", run Fetch.Config.Base cfg_base s.base att_base);
+    ("compressed", run Fetch.Config.Compressed cfg s.full (att s.full cfg));
+    ( "tailored",
+      run Fetch.Config.Tailored cfg s.tailored (att s.tailored cfg) );
+  ]
+
+type verdict = {
+  memory_ok : bool;
+  trace_ok : bool;
+  decode_back : (string * bool) list;
+}
+
+let verify (r : Workload_run.run) =
+  let c = r.Workload_run.compiled in
+  let res = r.Workload_run.exec in
+  let ref_res =
+    Emulator.Ref_interp.run ~max_blocks:3_000_000 c.Pipeline.alloc_cfg
+  in
+  let decodes sc =
+    match Encoding.Scheme.verify sc c.Pipeline.program with
+    | () -> true
+    | exception Failure _ -> false
+  in
+  {
+    memory_ok =
+      Emulator.Ref_interp.mem_checksum ref_res
+      = Emulator.Machine.mem_checksum res.Emulator.Exec.machine;
+    trace_ok =
+      Emulator.Trace.to_array res.Emulator.Exec.trace
+      = Emulator.Trace.to_array ref_res.Emulator.Ref_interp.trace;
+    decode_back =
+      List.map
+        (fun (name, sc) -> (name, decodes sc))
+        (every_scheme (schemes_of r));
+  }
+
 (* Every figure driver maps a pure per-run row function over the SPEC set.
    [sweep ?jobs f] is the shared harness: workloads are loaded inside the
    mapped task so a parallel sweep compiles, executes and encodes each
@@ -159,29 +216,11 @@ let fig13_for (r : Workload_run.run) =
   match Hashtbl.find_opt fig13_cache r.Workload_run.name with
   | Some row -> row
   | None ->
-      let s = schemes_of r in
-      let prog = r.Workload_run.compiled.Pipeline.program in
-      let trace = r.Workload_run.exec.Emulator.Exec.trace in
-      let cfg = Fetch.Config.default in
-      let cfg_base = Fetch.Config.default_base in
-      let att sc c =
-        Encoding.Att.build sc ~line_bits:c.Fetch.Config.line_bits prog
-      in
-      let att_base = att s.base cfg_base in
       let row =
-        {
-          bench = r.Workload_run.name;
-          ideal = Fetch.Sim.run_ideal ~att:att_base trace;
-          base =
-            Fetch.Sim.run ~model:Fetch.Config.Base ~cfg:cfg_base ~scheme:s.base
-              ~att:att_base trace;
-          compressed =
-            Fetch.Sim.run ~model:Fetch.Config.Compressed ~cfg ~scheme:s.full
-              ~att:(att s.full cfg) trace;
-          tailored =
-            Fetch.Sim.run ~model:Fetch.Config.Tailored ~cfg ~scheme:s.tailored
-              ~att:(att s.tailored cfg) trace;
-        }
+        match List.map (fun (_, run) -> run ?obs:None ()) (fetch_models r) with
+        | [ ideal; base; compressed; tailored ] ->
+            { bench = r.Workload_run.name; ideal; base; compressed; tailored }
+        | _ -> assert false (* fetch_models lists exactly these four *)
       in
       Hashtbl.replace fig13_cache r.Workload_run.name row;
       row

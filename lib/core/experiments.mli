@@ -31,6 +31,34 @@ val schemes_of : Workload_run.run -> schemes
     apart, as in the figures). *)
 val all_schemes : schemes -> (string * Encoding.Scheme.t) list
 
+(** [every_scheme s] — {!all_schemes} followed by [dict]: every scheme
+    the CLI, the verifier and the static analyses cover. *)
+val every_scheme : schemes -> (string * Encoding.Scheme.t) list
+
+(** [fetch_models r] — the four Figure 13 fetch models of one workload,
+    named ["ideal"], ["base"], ["compressed"] and ["tailored"] in that
+    order, each a run of the workload's trace that reports to [obs] when
+    given one. *)
+val fetch_models :
+  Workload_run.run ->
+  (string * (?obs:Cccs_obs.Sink.t -> unit -> Fetch.Sim.result)) list
+
+(** {1 Verification} *)
+
+type verdict = {
+  memory_ok : bool;
+      (** the scheduled program and the sequential reference interpreter
+          leave identical memory *)
+  trace_ok : bool;  (** ... and visit identical block sequences *)
+  decode_back : (string * bool) list;
+      (** per scheme of {!every_scheme}, in order: its ROM decodes back to
+          the program, bit accounting included ({!Encoding.Scheme.verify}) *)
+}
+
+(** [verify r] — the differential and decode-back checks of one workload,
+    over the memoized schemes. *)
+val verify : Workload_run.run -> verdict
+
 (** {1 Figure 5 — compression ratio, code segment only} *)
 
 type fig5_row = {

@@ -232,3 +232,18 @@ let git_rev ?(dir = ".") () =
                            | _ -> ());
                     !rev)
           end)
+
+(* ------------------------------------------------------------------ *)
+(* The one way a measuring entry point records a run.  A ledger that
+   cannot be written is reported to the caller, never raised: telemetry
+   bookkeeping must not fail the measured command itself. *)
+
+let record ~kind ~timestamp ~cores ?jobs ?schemes ?meta rows =
+  if not (enabled ()) then Ok ()
+  else
+    try
+      Ok
+        (append ~path:(default_path ())
+           (make ~kind ~git_rev:(git_rev ()) ~timestamp ~cores ?jobs ?schemes
+              ?meta rows))
+    with Sys_error msg -> Error msg

@@ -69,3 +69,16 @@ val enabled : unit -> bool
 (** Current git revision by following [.git/HEAD] (worktrees and packed
     refs included); ["unknown"] when [dir] is not inside a repository. *)
 val git_rev : ?dir:string -> unit -> string
+
+(** [record ~kind ~timestamp ~cores rows] — append one entry, stamped with
+    {!git_rev}, to {!default_path} when {!enabled}.  [Error msg] when the
+    ledger cannot be written; never raises [Sys_error]. *)
+val record :
+  kind:string ->
+  timestamp:float ->
+  cores:int ->
+  ?jobs:int ->
+  ?schemes:string list ->
+  ?meta:(string * Json.t) list ->
+  Json.t list ->
+  (unit, string) result

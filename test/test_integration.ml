@@ -254,6 +254,26 @@ let prop_random_profiles_schemes =
           Encoding.Stream_huffman.build;
         ])
 
+(* The decode-back and differential check that `cccs verify` and
+   verify_all share covers every scheme, the five extra stream
+   configurations included. *)
+let test_verify_covers_every_scheme () =
+  let e =
+    match Workloads.Suite.find "fir" with Some e -> e | None -> assert false
+  in
+  let v = Cccs.Experiments.verify (Cccs.Workload_run.load e) in
+  Alcotest.(check (list string))
+    "every scheme, in order"
+    [
+      "base"; "byte"; "stream"; "stream_1"; "stream_2"; "stream_3";
+      "stream_4"; "stream_5"; "full"; "tailored"; "dict";
+    ]
+    (List.map fst v.Cccs.Experiments.decode_back);
+  Alcotest.(check bool) "every scheme decodes back" true
+    (List.for_all snd v.Cccs.Experiments.decode_back);
+  Alcotest.(check bool) "memory" true v.Cccs.Experiments.memory_ok;
+  Alcotest.(check bool) "trace" true v.Cccs.Experiments.trace_ok
+
 let suite =
   [
     Alcotest.test_case "differential: scheduled vs sequential" `Slow
@@ -269,4 +289,6 @@ let suite =
       test_workload_dynamic_sizes;
     QCheck_alcotest.to_alcotest prop_random_profiles_differential;
     QCheck_alcotest.to_alcotest prop_random_profiles_schemes;
+    Alcotest.test_case "shared verify covers all 11 schemes" `Quick
+      test_verify_covers_every_scheme;
   ]

@@ -96,6 +96,38 @@ let test_git_rev () =
   let rev = Ledger.git_rev () in
   Alcotest.(check bool) "non-empty" true (String.length rev > 0)
 
+(* Ledger.record, the append every measuring entry point shares: it
+   follows CCCS_LEDGER, stamps the entry, reports an unwritable ledger as
+   an Error instead of raising, and touches nothing when the ledger is
+   off.  The variable is left "off" so no later test writes a ledger. *)
+let test_record () =
+  let path = tmp_path ".jsonl" in
+  let record () =
+    Ledger.record ~kind:"k" ~timestamp:5. ~cores:3 ~jobs:2 [ row "a" 1.0 ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "CCCS_LEDGER" "off";
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Sys.remove path;
+      Unix.putenv "CCCS_LEDGER" path;
+      Alcotest.(check bool) "appended" true (record () = Ok ());
+      (match Ledger.load ~path with
+      | [ e ], [] ->
+          Alcotest.(check string) "kind" "k" e.Ledger.kind;
+          Alcotest.(check int) "cores" 3 e.Ledger.cores;
+          Alcotest.(check int) "jobs" 2 e.Ledger.jobs;
+          Alcotest.(check bool) "git rev" true (e.Ledger.git_rev <> "")
+      | _ -> Alcotest.fail "expected one entry");
+      Unix.putenv "CCCS_LEDGER" (Filename.concat path "no-such-dir.jsonl");
+      Alcotest.(check bool) "unwritable" true (Result.is_error (record ()));
+      Unix.putenv "CCCS_LEDGER" "off";
+      let written () = Sys.file_exists (Ledger.default_path ()) in
+      let before = written () in
+      Alcotest.(check bool) "off" true (record () = Ok ());
+      Alcotest.(check bool) "nothing written" before (written ()))
+
 (* ------------------------------------------------------------------ *)
 (* Compare *)
 
@@ -372,4 +404,5 @@ let suite =
       test_flame_chrome_parses;
     Alcotest.test_case "histogram merge exact" `Quick test_merge_exact;
     QCheck_alcotest.to_alcotest merge_percentile_prop;
+    Alcotest.test_case "ledger record" `Quick test_record;
   ]
