@@ -475,33 +475,15 @@ let perf_decode () =
          { scheme; table_mb_s; serial_mb_s; seed_mb_s; table_windows })
 
 (* ------------------------------------------------------------------ *)
-(* perf/pardecode: parallel decode of one compressed image             *)
-(* (Cccs.Par_decode), split at the block offsets of the ATT.  Three    *)
-(* schemes — fixed widths (base), unframed Huffman (full) and framed   *)
-(* Huffman (full+crc16) — each decoded at jobs 1/2/4 and checked       *)
-(* byte-for-byte against the 40-bit baseline image.  The never-lose    *)
-(* contract is asserted once every row is printed: asking for more     *)
-(* jobs than help (including a 1-core runner, where the clamp degrades *)
-(* every decode to the sequential walk) may not cost more than 15%     *)
-(* over jobs=1.  Every row carries the [cores] count so a reader can   *)
-(* tell a genuine scaling datapoint from a clamped one.                *)
+(* perf/image-decode: the whole-image decode behind `cccs decode`      *)
+(* (Cccs.Par_decode.decode), end to end.  Three schemes — fixed widths *)
+(* (base), unframed Huffman (full) and framed Huffman (full+crc16) —   *)
+(* each checked byte-for-byte against the 40-bit baseline image.  Set  *)
+(* these rows against perf/decode/*, the Huffman kernel alone.  Each   *)
+(* row is printed as it is measured and returned as its JSON row.      *)
 (* ------------------------------------------------------------------ *)
 
-let pardecode_jobs = [ 1; 2; 4 ]
-let never_lose_factor = 1.15
-
-type pardecode_perf = {
-  p_scheme : string;
-  p_jobs : int;  (* requested *)
-  p_jobs_used : int;  (* after the core-count clamp *)
-  p_chunks : int;
-  p_seconds : float;
-  p_mb_s : float;  (* compressed bytes through the decoder *)
-  p_compressed_bytes : int;
-  p_decoded_bytes : int;
-}
-
-let perf_pardecode () =
+let perf_image_decode ~cores =
   let prog = program () in
   let truth = Tepic.Program.baseline_image prog in
   let full = Encoding.Full_huffman.build prog in
@@ -512,68 +494,55 @@ let perf_pardecode () =
       ("full+crc16", Encoding.Scheme.protect Encoding.Scheme.Crc16 full);
     ]
   in
-  List.concat_map
+  List.map
     (fun (name, sc) ->
-      let decode jobs =
-        match Cccs.Pipeline.decompress ~jobs sc with
-        | Ok r -> r
+      let decode () =
+        match Cccs.Par_decode.decode sc with
+        | Ok out -> out
         | Error e ->
             failwith
-              ("bench perf: pardecode: "
+              ("bench perf: image-decode: "
               ^ Encoding.Scheme.decode_error_to_string e)
       in
-      List.map
-        (fun jobs ->
-          let out, rep = decode jobs in
-          if out <> truth then
-            failwith
-              (Printf.sprintf
-                 "bench perf: pardecode %s jobs=%d diverged from the \
-                  baseline image"
-                 name jobs);
-          let window () =
-            let t0 = now () in
-            let reps = ref 0 and elapsed = ref 0.0 in
-            while !elapsed < 0.2 do
-              ignore (decode jobs);
-              incr reps;
-              elapsed := now () -. t0
-            done;
-            !elapsed /. float_of_int !reps
-          in
-          (* Best of three windows: noise only ever slows a window. *)
-          let seconds =
-            List.fold_left Float.min (window ()) [ window (); window () ]
-          in
-          let bytes = String.length sc.Encoding.Scheme.image in
-          {
-            p_scheme = name;
-            p_jobs = jobs;
-            p_jobs_used = rep.Cccs.Par_decode.jobs;
-            p_chunks = rep.Cccs.Par_decode.chunks;
-            p_seconds = seconds;
-            p_mb_s = float_of_int bytes /. seconds /. 1e6;
-            p_compressed_bytes = bytes;
-            p_decoded_bytes = String.length out;
-          })
-        pardecode_jobs)
-    schemes
-
-(* Every jobs>1 row against its scheme's jobs=1 row. *)
-let check_pardecode_never_lose rows =
-  List.iter
-    (fun r ->
-      let r1 =
-        List.find (fun q -> q.p_scheme = r.p_scheme && q.p_jobs = 1) rows
-      in
-      if r.p_seconds > (r1.p_seconds *. never_lose_factor) +. 5e-5 then
+      let out = decode () in
+      if out <> truth then
         failwith
           (Printf.sprintf
-             "bench perf: pardecode %s jobs=%d (%.3f ms) lost to jobs=1 \
-              (%.3f ms) past the %.2fx never-lose bound"
-             r.p_scheme r.p_jobs (r.p_seconds *. 1e3) (r1.p_seconds *. 1e3)
-             never_lose_factor))
-    rows
+             "bench perf: image-decode %s diverged from the baseline image"
+             name);
+      let window () =
+        let t0 = now () in
+        let reps = ref 0 and elapsed = ref 0.0 in
+        while !elapsed < 0.2 do
+          ignore (decode ());
+          incr reps;
+          elapsed := now () -. t0
+        done;
+        !elapsed /. float_of_int !reps
+      in
+      (* Best of three windows: noise only ever slows a window. *)
+      let seconds =
+        List.fold_left Float.min (window ()) [ window (); window () ]
+      in
+      let bytes = String.length sc.Encoding.Scheme.image in
+      (* Compressed bytes through the decoder. *)
+      let mb_per_s = float_of_int bytes /. seconds /. 1e6 in
+      Printf.printf "perf/image-decode/%-10s  %7.1f MB/s  %7.3f ms\n%!" name
+        mb_per_s (seconds *. 1e3);
+      Cccs_obs.Json.(
+        Obj
+          [
+            ("name", Str ("perf/image-decode/" ^ name));
+            ("mb_per_s", Num mb_per_s);
+            ("seconds", Num seconds);
+            ("cores", int cores);
+            ("compressed_bytes", int bytes);
+            ("decoded_bytes", int (String.length out));
+          ]))
+    schemes
+
+(* The jobs=4 sweep may not cost more than this over jobs=1. *)
+let never_lose_factor = 1.15
 
 (* One cold-cache sweep: fig5 + fig13 for the whole SPEC set in a single
    Parallel.map, so the parallel run duplicates no work against the
@@ -631,24 +600,8 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores =
+let write_perf decode_rows ~image_rows ~s1 ~s4 ~cores =
   let open Cccs_obs.Json in
-  let pardecode_json p =
-    Obj
-      [
-        ( "name",
-          Str (Printf.sprintf "perf/pardecode/%s/jobs%d" p.p_scheme p.p_jobs)
-        );
-        ("mb_per_s", Num p.p_mb_s);
-        ("seconds", Num p.p_seconds);
-        ("jobs", int p.p_jobs);
-        ("jobs_used", int p.p_jobs_used);
-        ("cores", int cores);
-        ("chunks", int p.p_chunks);
-        ("compressed_bytes", int p.p_compressed_bytes);
-        ("decoded_bytes", int p.p_decoded_bytes);
-      ]
-  in
   let decode_json d =
     Obj
       [
@@ -661,10 +614,9 @@ let write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores =
         ("samples", Arr (List.map (fun x -> Num x) d.table_windows));
       ]
   in
-  let pardecode_json_rows = List.map pardecode_json pardecode_rows in
   let rows =
     List.map decode_json decode_rows
-    @ pardecode_json_rows
+    @ image_rows
     @ [
         Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
         Obj
@@ -677,18 +629,11 @@ let write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores =
       ]
   in
   write_perf_rows
-    ~prefixes:[ "perf/decode/"; "perf/pardecode/"; "perf/sweep/" ]
+    ~prefixes:[ "perf/decode/"; "perf/image-decode/"; "perf/sweep/" ]
     rows;
   ledger_append ~kind:"bench_perf"
     ~schemes:(List.map (fun d -> d.scheme) decode_rows)
-    rows;
-  (* The pardecode family also gets its own ledger kind, so `cccs
-     perfdiff --kind bench_pardecode` can track the parallel-decode path
-     in isolation. *)
-  ledger_append ~kind:"bench_pardecode"
-    ~schemes:
-      (List.sort_uniq compare (List.map (fun p -> p.p_scheme) pardecode_rows))
-    pardecode_json_rows
+    rows
 
 let run_perf () =
   Printf.printf "CCCS perf — decode throughput and sweep wall-clock\n%s\n"
@@ -705,17 +650,7 @@ let run_perf () =
         (d.table_mb_s /. d.seed_mb_s))
     decode_rows;
   let cores = Cccs.Parallel.cores () in
-  let pardecode_rows = bspan "pardecode" perf_pardecode in
-  List.iter
-    (fun p ->
-      Printf.printf
-        "perf/pardecode/%-10s jobs=%d (used %d)  %7.1f MB/s  %7.3f ms  %d \
-         chunk%s  cores=%d\n%!"
-        p.p_scheme p.p_jobs p.p_jobs_used p.p_mb_s (p.p_seconds *. 1e3)
-        p.p_chunks
-        (if p.p_chunks = 1 then " " else "s")
-        cores)
-    pardecode_rows;
+  let image_rows = bspan "image-decode" (fun () -> perf_image_decode ~cores) in
   let rows1, s1 = bspan "sweep_jobs1" (fun () -> sweep_once ~jobs:1) in
   let rows4, s4 = bspan "sweep_jobs4" (fun () -> sweep_once ~jobs:4) in
   if rows1 <> rows4 then
@@ -724,20 +659,18 @@ let run_perf () =
     "perf/sweep   jobs=1 %6.2fs   jobs=4 %6.2fs   %5.2fx  (%d cores, \
      results identical)\n"
     s1 s4 (s1 /. s4) cores;
-  (* Both never-lose checks run only once every row is printed, so a
-     failed run still shows its numbers.  The sweep rides the same rule as
-     the decode: on a 1-core runner Parallel.map degrades jobs=4 to the
-     sequential walk, so the jobs=4 sweep may never lose to jobs=1 past
-     noise.  (This run used to regress to 0.46x on 1 core before the clamp
-     existed.) *)
-  check_pardecode_never_lose pardecode_rows;
+  (* The never-lose check runs only once every row is printed, so a failed
+     run still shows its numbers.  On a 1-core runner Parallel.map degrades
+     jobs=4 to the sequential walk, so the jobs=4 sweep may never lose to
+     jobs=1 past noise.  (This run used to regress to 0.46x on 1 core
+     before the clamp existed.) *)
   if s4 > (s1 *. never_lose_factor) +. 0.1 then
     failwith
       (Printf.sprintf
          "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
           %.2fx never-lose bound (%d cores)"
          s4 s1 never_lose_factor cores);
-  write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores
+  write_perf decode_rows ~image_rows ~s1 ~s4 ~cores
 
 (* ------------------------------------------------------------------ *)
 (* fuzz group: campaign throughput and bounded-memory trace streaming. *)

@@ -315,7 +315,7 @@ let decode_cmd =
     let doc = "Write the decoded 40-bit baseline image to $(docv)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
-  let run () (e : Workloads.Suite.entry) scheme protect jobs out json flame =
+  let run () (e : Workloads.Suite.entry) scheme protect out json flame =
     let r = Cccs.Workload_run.load e in
     let sc =
       Encoding.Scheme.protect protect
@@ -329,7 +329,7 @@ let decode_cmd =
     let decoded =
       with_flame flame (fun obs ->
           let t0 = Unix.gettimeofday () in
-          Cccs.Pipeline.decompress ?jobs ?obs sc
+          Cccs.Par_decode.decode ?obs sc
           |> Result.map (fun d -> (d, Unix.gettimeofday () -. t0)))
     in
     match decoded with
@@ -337,7 +337,7 @@ let decode_cmd =
         Logs.err (fun m ->
             m "decode: %s" (Encoding.Scheme.decode_error_to_string err));
         exit 1
-    | Ok ((img, rep), seconds) ->
+    | Ok (img, seconds) ->
         let exact = String.equal img truth in
         let compressed = String.length sc.Encoding.Scheme.image in
         let mb_per_s =
@@ -351,9 +351,6 @@ let decode_cmd =
         let ppf = report_to json in
         Format.fprintf ppf "workload       %s@." e.name;
         Format.fprintf ppf "scheme         %s@." sc.Encoding.Scheme.name;
-        Format.fprintf ppf "jobs           %d (of %d core(s))@."
-          rep.Cccs.Par_decode.jobs (Cccs.Parallel.cores ());
-        Format.fprintf ppf "chunks         %d@." rep.Cccs.Par_decode.chunks;
         Format.fprintf ppf "decoded        %d bytes from %d compressed (%s)@."
           (String.length img) compressed
           (if exact then "bit-exact vs baseline" else "MISMATCH");
@@ -365,9 +362,6 @@ let decode_cmd =
               ("bench", Str e.name);
               ("scheme", Str sc.Encoding.Scheme.name);
               ("protection", Str (Encoding.Scheme.protection_name protect));
-              ("jobs", int rep.Cccs.Par_decode.jobs);
-              ("cores", int (Cccs.Parallel.cores ()));
-              ("chunks", int rep.Cccs.Par_decode.chunks);
               ("compressed_bytes", int compressed);
               ("decoded_bytes", int (String.length img));
               ("exact", Bool exact);
@@ -379,17 +373,11 @@ let decode_cmd =
     (Cmd.info "decode"
        ~doc:
          "Decompress one scheme's ROM image back to the 40-bit baseline \
-          image, splitting it across worker domains at the block offsets \
-          of its address translation table; verifies bit-exactness \
-          against the baseline")
+          image, block by block at the offsets of its address translation \
+          table; verifies bit-exactness against the baseline")
     Term.(
-      const run $ setup_logs $ bench_arg $ scheme_arg $ protect_arg
-      $ jobs_arg
-          "Worker domains for the chunked decode (default: CCCS_JOBS).  The \
-           effective count is clamped to the machine's cores, and an image \
-           too small to split decodes in one chunk — parallel decode never \
-           loses to sequential."
-      $ out_arg $ json_arg "cccs-decode/1" $ flame_arg)
+      const run $ setup_logs $ bench_arg $ scheme_arg $ protect_arg $ out_arg
+      $ json_arg "cccs-decode/1" $ flame_arg)
 
 let simulate_cmd =
   let run () e perfetto flame =

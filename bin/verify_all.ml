@@ -14,9 +14,17 @@
 
    With --json the human-readable report moves to stderr and stdout gets a
    single machine-readable JSON object (schema "cccs-verify/1") that CI
-   archives as an artifact.  Exit codes are identical in both modes. *)
+   archives as an artifact.  Exit codes are identical in both modes.  Any
+   other argument is a usage error: exit 124, the code `cccs` uses for a
+   rejected command line, before any work starts. *)
 
-let json_mode = Array.exists (( = ) "--json") Sys.argv
+let json_mode =
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> false
+  | [ "--json" ] -> true
+  | _ ->
+      prerr_endline "usage: verify_all [--json]";
+      exit 124
 
 (* Human-readable output; demoted to stderr in --json mode so stdout stays
    pure JSON. *)

@@ -1,60 +1,35 @@
-(** Parallel decode of a single compressed image.
+(** Decode of one whole compressed image.
 
-    The image is cut at block boundaries into contiguous chunks, each
-    chunk decoded independently back to the 40-bit baseline encoding, and
-    the per-chunk outputs concatenated in order.  Each block is
-    transcoded straight into baseline words
-    ({!Encoding.Scheme.transcode_block_checked_at}) — no [Op.t] is
-    built.  The contract is
-    bit-exact equality with the sequential decode: same output image,
-    and on corrupt input the same typed error ({!Encoding.Scheme.decode_error})
-    at the same bit position — at every jobs count.
+    The image is walked block by block from bit 0, each block transcoded
+    straight into 40-bit baseline words
+    ({!Encoding.Scheme.transcode_block_checked_at}) — no [Op.t] is built.
+    The Address Translation Table gives every block its own compressed
+    address ([Scheme.block_offset_bits]), and the image verifier's
+    CCCS-E100 check proves those offsets tile the image contiguously, so
+    stepping over each block and its byte-alignment padding reaches the
+    next block exactly where the ATT puts it.
 
-    The Address Translation Table is the only splitting rule: every
-    scheme, framed or not, is cut at block offsets
-    ([Scheme.block_offset_bits]), and each chunk seeks straight to the
-    exact compressed address of its first block.  The image verifier's
-    CCCS-E100 check proves those offsets tile the image contiguously,
-    which is the one fact the split relies on.  Chunks are at least
-    {!Huffman.Par_decode.chunk_floor_bits} each, and the jobs count is
-    clamped to the core count ({!Parallel}), so a parallel request can
-    degrade to the sequential decode but never lose to it. *)
+    The decode is one sequential walk.  The module keeps its [Par_decode]
+    name, {!classify} and {!report} only because the benchmark still
+    links against them. *)
 
-(** [classify s] does nothing.  The split needs no per-scheme proof; the
-    function stays only for callers that still time it, and goes once
-    they no longer do. *)
+(** [classify s] does nothing.  It stays only because the benchmark still
+    times it, and goes once it no longer does. *)
 val classify : Encoding.Scheme.t -> unit
 
-(** What a decode actually did — reported next to every benchmark row. *)
-type report = {
-  jobs : int;
-      (** worker domains actually used: the requested count after the
-          core clamp and the observer degrade, capped by the number of
-          chunks — 1 for a decode that spawned nothing *)
-  chunks : int;
-}
+(** What a decode did, as the benchmark reads it from
+    {!Pipeline.decompress}: always [{ jobs = 1; chunks = 1 }]. *)
+type report = { jobs : int; chunks : int }
 
-(** [decode ?jobs ?force ?obs ?min_chunk_bits ?image s] — decode [s]'s
-    compressed image (or the override [image], e.g. a corrupted copy)
-    back to the 40-bit baseline byte image.
+(** [decode ?obs s] — decode [s]'s compressed image back to the 40-bit
+    baseline byte image.  Every block goes through the verifying frame
+    walk, so a corrupt image yields the typed error of its first failing
+    block, the same error (block, bit and reason) that
+    {!Encoding.Scheme.decode_block_checked} reports for that block.  With
+    [obs] the walk is one [Decode]-stage span labelled ["decode"].
 
-    [jobs] defaults to {!Parallel.default_jobs}; the effective count is
-    clamped to the core count unless [force], and degrades to [1] when an
-    observer is installed (a shared sink cannot accept concurrent
-    emitters; chunk spans then land on the [Decode] stage sequentially).
-
-    [min_chunk_bits] overrides the chunk floor (default
-    {!Huffman.Par_decode.chunk_floor_bits}) — for tests that must force
-    a multi-chunk plan on a small image.
-
-    Returns the decoded image with a {!report}, or the typed error of the
-    first failing block — identical, position included, to what the
-    sequential checked decode reports. *)
+    To decode a corrupted copy, pass [{ s with image = bad }]. *)
 val decode :
-  ?jobs:int ->
-  ?force:bool ->
   ?obs:Cccs_obs.Sink.t ->
-  ?min_chunk_bits:int ->
-  ?image:string ->
   Encoding.Scheme.t ->
-  (string * report, Encoding.Scheme.decode_error) result
+  (string, Encoding.Scheme.decode_error) result

@@ -2,14 +2,14 @@
    contract.
 
    The experiment sweeps are embarrassingly parallel across workloads (the
-   fault campaigns across schemes, the parallel image decoder across
-   chunks), so the engine stays small: a pool of worker domains per call,
-   a shared atomic work counter, results gathered into a slot array and
-   returned in input order.  Nothing about the schedule can leak into the
-   output — every slot [i] holds [f items.(i)] and the gather re-reads the
-   array left to right — so a parallel sweep is bit-identical to the
-   sequential one as long as [f] itself is deterministic.  The
-   differential tests make that a hard invariant.
+   fault campaigns across schemes), so the engine stays small: a pool of
+   worker domains per call, a shared atomic work counter, results gathered
+   into a slot array and returned in input order.  Nothing about the
+   schedule can leak into the output — every slot [i] holds
+   [f items.(i)] and the gather re-reads the array left to right — so a
+   parallel sweep is bit-identical to the sequential one as long as [f]
+   itself is deterministic.  The differential tests make that a hard
+   invariant.
 
    Never-lose rules (the perf/sweep/jobs4 = 0.46x regression, measured on
    a 1-core container, is the case they exist to kill):
@@ -31,8 +31,7 @@
      (Workload_run, Experiments) are domain-local (DLS), so each worker
      builds its own schemes — a deliberate trade of duplicated construction
      for zero shared mutable state (Canonical decode tables are lazily
-     built mutable fields and must never be shared across domains unless
-     pre-built before the spawn, as Par_decode does).
+     built mutable fields and must never be shared across domains).
    - [f] must not emit telemetry to a shared sink; callers pass [~jobs:1]
      when an observer is installed.
    - Nested parallel regions degrade to sequential (the worker flag below),
@@ -86,7 +85,7 @@ let tune_minor_heap () =
   end
 
 (* All failing item indices, attached to the re-raised exception so a
-   fuzz or bench failure names every failed chunk, not just the first.
+   fuzz or bench failure names every failed item, not just the first.
    The smallest-index exception stays the carrier (same constructor when
    it is one of the message-bearing stdlib ones), keeping single-failure
    behaviour byte-identical to a sequential raise. *)

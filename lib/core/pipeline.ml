@@ -101,7 +101,9 @@ let lint (c : compiled) =
     [ Cccs_analysis.Dataflow_check.pass; Cccs_analysis.Schedule_check.pass ]
 
 (* The decompression direction of the pipeline: compiled program -> scheme
-   image -> baseline image.  A thin veneer over Par_decode so every
-   pipeline consumer gets the --jobs plumbing (and the never-lose clamp)
-   without knowing how the image is split. *)
-let decompress ?jobs ?obs scheme = Par_decode.decode ?jobs ?obs scheme
+   image -> baseline image.  [jobs] and the report are accepted and
+   returned only for the benchmark, which still passes and reads them. *)
+let decompress ?jobs:_ ?obs scheme =
+  Result.map
+    (fun img -> (img, { Par_decode.jobs = 1; chunks = 1 }))
+    (Par_decode.decode ?obs scheme)

@@ -40,10 +40,9 @@ val compile_profile : ?speculate:bool -> Workloads.Profile.t -> compiled
     built schemes; see {!Analysis.lint_run}. *)
 val lint : compiled -> Cccs_analysis.Diag.t list
 
-(** [decompress ?jobs ?obs scheme] — decode [scheme]'s compressed image
-    back to the 40-bit baseline image, split at its ATT block offsets
-    across [jobs] worker domains; bit-exact with the sequential decode at
-    any jobs count.  See {!Par_decode.decode} for the parameters. *)
+(** [decompress ?jobs ?obs scheme] — {!Par_decode.decode} of [scheme],
+    paired with its constant {!Par_decode.report}.  [jobs] is ignored: it
+    and the report stay only while the benchmark passes and reads them. *)
 val decompress :
   ?jobs:int ->
   ?obs:Cccs_obs.Sink.t ->

@@ -68,5 +68,4 @@ let build program =
       ];
     decode_payload;
     transcode_payload;
-    decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -51,5 +51,4 @@ let build program =
     model = [ Scheme.Book_codewords { book = "full"; max_per_op = 1 } ];
     decode_payload;
     transcode_payload;
-    decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -59,7 +59,6 @@ type t = {
   model : code_source list;
   decode_payload : Bits.Reader.t -> int -> Tepic.Op.t list;
   transcode_payload : Bits.Reader.t -> Bits.Writer.t -> int -> unit;
-  decode_block : int -> Tepic.Op.t list;
 }
 
 let ratio t ~baseline_bits =
@@ -91,7 +90,7 @@ let exn_message = function
 (* The verifying walk of one block frame with the reader already positioned
    on the block's first bit, parameterised by the payload action: decode to
    ops, or transcode straight to baseline words.  Factored out of
-   [decode_block_checked] so the chunked parallel decoder (Cccs.Par_decode)
+   [decode_block_checked] so the whole-image decode (Cccs.Par_decode)
    walks blocks back-to-back through the exact same checks — a corrupt
    stream yields the same typed error, at the same bit position, whichever
    path found it.  [payload r] runs one of the scheme's payload decoders
@@ -146,7 +145,7 @@ let checked_at t r i payload =
                   | Ok _ as ok ->
                       (* Step over the already-verified guard word so the
                          cursor rests past the whole framed block — the
-                         invariant the back-to-back chunk walk relies on. *)
+                         invariant the back-to-back image walk relies on. *)
                       Bits.Reader.advance r f.guard_bits;
                       ok
                   | Error _ as e -> e))))
@@ -177,9 +176,11 @@ let decode_block_checked ?image t i =
 
 let verify t program =
   let n = Tepic.Program.num_blocks program in
+  let r = Bits.Reader.of_string t.image in
   for i = 0 to n - 1 do
     let original = Tepic.Program.block_ops (Tepic.Program.block program i) in
-    let decoded = t.decode_block i in
+    Bits.Reader.seek r t.block_offset_bits.(i);
+    let decoded = t.decode_payload r i in
     if List.length original <> List.length decoded then
       failwith
         (Printf.sprintf "%s: block %d decodes to %d ops, expected %d" t.name i
@@ -194,9 +195,6 @@ let verify t program =
     (* Bit accounting: a decoder that consumes more or fewer bits than the
        block holds can still return the right ops (over-reading into the
        next block, or resynchronizing by luck); catch it here. *)
-    let r = Bits.Reader.of_string t.image in
-    Bits.Reader.seek r t.block_offset_bits.(i);
-    ignore (t.decode_payload r i);
     let consumed = Bits.Reader.pos r - t.block_offset_bits.(i) in
     let expect = t.block_bits.(i) - t.frame.guard_bits in
     if consumed <> expect then
@@ -219,14 +217,6 @@ let build_blocks program encode_block =
     ignore (Bits.Writer.align_byte w)
   done;
   (Bits.Writer.contents w, offsets, sizes)
-
-(* [with_image image offsets sizes decode_payload] — the standard decode
-   entry point every builder derives: position a fresh reader on block [i]
-   and run the scheme's payload decoder. *)
-let block_decoder ~image ~offsets decode_payload i =
-  let r = Bits.Reader.of_string image in
-  Bits.Reader.seek r offsets.(i);
-  decode_payload r i
 
 let protect p t =
   match p with
@@ -284,5 +274,4 @@ let protect p t =
           };
         decode_payload;
         transcode_payload;
-        decode_block = block_decoder ~image ~offsets decode_payload;
       }

@@ -92,12 +92,8 @@ type t = {
           wrapper {!transcode_block_checked_at} reports exactly
           {!decode_block_checked_at}'s error.  On a raise, [w] holds a
           partial block.  Its tables are built eagerly when the scheme is
-          built, and it keeps no mutable buffer across calls, so one
-          scheme may transcode from several domains at once (once its
-          Huffman LUTs are built). *)
-  decode_block : int -> Tepic.Op.t list;
-      (** decompress block [i] of the scheme's own image back to its exact
-          original ops *)
+          built, so a decode pays only for decoding, and it keeps no
+          mutable buffer across calls. *)
 }
 
 (** [ratio t ~baseline_bits] — code-segment compression ratio (1.0 = no
@@ -131,11 +127,11 @@ val decode_block_checked :
   ?image:string -> t -> int -> (Tepic.Op.t list, decode_error) result
 
 (** [decode_block_checked_at t r i] — {!decode_block_checked} with the
-    reader [r] already positioned on block [i]'s first bit.  The chunked
-    parallel decoder walks blocks back-to-back through this, so a corrupt
-    stream yields the same typed error at the same bit position as the
-    sequential checked decode.  On [Ok] the cursor rests just past the
-    block's last framed bit (before any byte-alignment padding). *)
+    reader [r] already positioned on block [i]'s first bit, so a caller
+    can walk blocks back-to-back and still get the typed error, at the
+    same bit position, that a per-block checked decode reports.  On [Ok]
+    the cursor rests just past the block's last framed bit (before any
+    byte-alignment padding). *)
 val decode_block_checked_at :
   t -> Bits.Reader.t -> int -> (Tepic.Op.t list, decode_error) result
 
@@ -146,7 +142,8 @@ val decode_block_checked_at :
     leaves [w] holding [Tepic.Encode.encode_ops] of the ops
     {!decode_block_checked_at} would return, and the cursor where it would
     leave it; an [Error] is the same error, block, bit and reason (with a
-    partial block in [w]).  The parallel decoder's hot path. *)
+    partial block in [w]).  The whole-image decode's hot path
+    ([Cccs.Par_decode.decode]). *)
 val transcode_block_checked_at :
   t -> Bits.Reader.t -> Bits.Writer.t -> int -> (unit, decode_error) result
 
@@ -158,11 +155,11 @@ val transcode_block_checked_at :
     [t] is already protected. *)
 val protect : protection -> t -> t
 
-(** [verify t program] — decode every block and compare with the original
-    ops, and check that the decoder consumed exactly the bits the block
-    frame holds (over/under-consumption can silently mis-decode even when
-    the ops happen to match).  Raises [Failure] with a diagnostic on the
-    first mismatch. *)
+(** [verify t program] — decode every block once through [decode_payload],
+    compare with the original ops, and check that the decoder consumed
+    exactly the bits the block frame holds (over/under-consumption can
+    silently mis-decode even when the ops happen to match).  Raises
+    [Failure] with a diagnostic on the first mismatch. *)
 val verify : t -> Tepic.Program.t -> unit
 
 (** [build_blocks program encode_block] — shared image builder: runs
@@ -173,12 +170,3 @@ val build_blocks :
   Tepic.Program.t ->
   (Bits.Writer.t -> Tepic.Op.t list -> unit) ->
   string * int array * int array
-
-(** [block_decoder ~image ~offsets decode_payload] — the standard
-    [decode_block]: seek to block [i] in [image] and run [decode_payload]. *)
-val block_decoder :
-  image:string ->
-  offsets:int array ->
-  (Bits.Reader.t -> int -> Tepic.Op.t list) ->
-  int ->
-  Tepic.Op.t list

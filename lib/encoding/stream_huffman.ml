@@ -242,5 +242,4 @@ let build ?(config = classic) program =
        List.rev !srcs);
     decode_payload;
     transcode_payload;
-    decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

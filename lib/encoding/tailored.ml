@@ -450,7 +450,6 @@ let build_with_spec program =
          ]);
       decode_payload;
       transcode_payload;
-      decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
     },
     spec )
 

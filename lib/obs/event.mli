@@ -7,8 +7,8 @@
     exempt. *)
 
 (** The compiler/simulator/benchmark stages spans can cover.  [Decode] is
-    the decompression direction — the parallel image decoder's per-chunk
-    spans land there. *)
+    the decompression direction — the whole-image decode's span lands
+    there. *)
 type stage =
   | Lower
   | Schedule

@@ -234,7 +234,6 @@ let dummy_scheme ~image ~offsets ~bits =
     model = [];
     decode_payload = (fun _ _ -> []);
     transcode_payload = (fun _ _ _ -> ());
-    decode_block = (fun _ -> []);
   }
 
 let test_geometry () =

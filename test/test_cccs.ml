@@ -18,7 +18,7 @@ let () =
       ("certify", Test_certify.suite);
       ("faults", Test_faults.suite);
       ("parallel", Test_parallel.suite);
-      ("pardecode", Test_pardecode.suite);
+      ("decode", Test_decode.suite);
       ("transcode", Test_transcode.suite);
       ("obs", Test_obs.suite);
       ("obs_ledger", Test_obs_ledger.suite);

@@ -115,9 +115,9 @@ let test_scheme_verify_catches_mutation () =
   let lying =
     {
       s with
-      Encoding.Scheme.decode_block =
-        (fun i ->
-          match s.Encoding.Scheme.decode_block i with
+      Encoding.Scheme.decode_payload =
+        (fun r i ->
+          match s.Encoding.Scheme.decode_payload r i with
           | first :: rest -> Tepic.Op.with_tail (not first.Tepic.Op.tail) first :: rest
           | [] -> []);
     }
