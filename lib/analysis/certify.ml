@@ -174,6 +174,27 @@ let certify_book ~workload ?scheme ?(warn_sync = true) (name, cb) =
 (* ------------------------------------------------------------------ *)
 (* Per-scheme certification.                                           *)
 
+(* The decode model's worst-case bits per op, summed over its code
+   sources, and every book it names that the scheme does not publish (one
+   entry per such source, in model order).  Any unpublished book, or no
+   model at all, leaves no bound. *)
+let resolve_model (sc : Encoding.Scheme.t) =
+  List.fold_left
+    (fun (acc, missing) src ->
+      match src with
+      | Encoding.Scheme.Fixed_bits { max_bits; _ } ->
+          (Option.map (fun a -> a + max_bits) acc, missing)
+      | Encoding.Scheme.Book_codewords { book; max_per_op } -> (
+          match List.assoc_opt book sc.Encoding.Scheme.books with
+          | Some cb ->
+              let n =
+                (Huffman.Codebook.stats cb).Huffman.Codebook.max_code_len
+              in
+              (Option.map (fun a -> a + (max_per_op * n)) acc, missing)
+          | None -> (None, missing @ [ book ])))
+    ((if sc.Encoding.Scheme.model = [] then None else Some 0), [])
+    sc.Encoding.Scheme.model
+
 let certify_scheme ~workload ?program (sc : Encoding.Scheme.t) =
   let scheme = sc.Encoding.Scheme.name in
   let loc = Diag.loc ~scheme workload in
@@ -188,33 +209,16 @@ let certify_scheme ~workload ?program (sc : Encoding.Scheme.t) =
   in
   let book_diags = List.concat_map fst per_book in
   let certs = List.filter_map snd per_book in
-  (* Resolve the decode model into a certified worst-case bits-per-op. *)
-  let model_diags = ref [] in
-  let worst_op_bits =
-    if sc.Encoding.Scheme.model = [] then None
-    else
-      List.fold_left
-        (fun acc src ->
-          match src with
-          | Encoding.Scheme.Fixed_bits { max_bits; _ } ->
-              Option.map (fun a -> a + max_bits) acc
-          | Encoding.Scheme.Book_codewords { book; max_per_op } -> (
-              match List.assoc_opt book sc.Encoding.Scheme.books with
-              | Some cb ->
-                  let n =
-                    (Huffman.Codebook.stats cb).Huffman.Codebook.max_code_len
-                  in
-                  Option.map (fun a -> a + (max_per_op * n)) acc
-              | None ->
-                  model_diags :=
-                    Diag.make ~code:"CCCS-E204" ~loc
-                      (Printf.sprintf
-                         "decode model names codebook %s but the scheme \
-                          publishes no such book"
-                         book)
-                    :: !model_diags;
-                  None))
-        (Some 0) sc.Encoding.Scheme.model
+  let worst_op_bits, unpublished = resolve_model sc in
+  let model_diags =
+    List.map
+      (fun book ->
+        Diag.make ~code:"CCCS-E204" ~loc
+          (Printf.sprintf
+             "decode model names codebook %s but the scheme publishes no \
+              such book"
+             book))
+      unpublished
   in
   (* Every built block must fit the bound the model certifies. *)
   let bound_diags = ref [] in
@@ -248,7 +252,7 @@ let certify_scheme ~workload ?program (sc : Encoding.Scheme.t) =
       done
   | _ -> ());
   let diags =
-    book_diags @ List.rev !model_diags @ List.rev !bound_diags
+    book_diags @ model_diags @ List.rev !bound_diags
   in
   let errors = List.length (List.filter Diag.is_error diags) in
   let warnings =

@@ -64,6 +64,15 @@ val certify_book :
 (** {!certify_codes} on the book's canonical code, plus exhaustive LUT
     equivalence (E202/E203) when the book is LUT-eligible. *)
 
+val resolve_model : Encoding.Scheme.t -> int option * string list
+(** [resolve_model sc] resolves the scheme's decode model against its
+    published books: the certified worst-case wire bits per decoded op,
+    and the names of the books the model references but the scheme does
+    not publish, one per such code source, in model order.  The bits are
+    [None] when the scheme has no model or any book is unpublished.
+    {!certify_scheme} reports each unpublished book as CCCS-E204;
+    {!Timing_check} charges its certified block span from the bits. *)
+
 val certify_scheme :
   workload:string ->
   ?program:Tepic.Program.t ->

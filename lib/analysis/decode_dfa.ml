@@ -184,13 +184,13 @@ let run t ~width w =
 
    A flip inside a codeword sends the corrupted decoder down the sibling
    edge of the clean one; from then on both consume the same (clean)
-   bits.  We therefore take as initial pairs every (step s b, step s !b)
-   with both edges defined, restrict the clean component to transitions
-   the valid stream can actually contain, and absorb a pair when the two
-   states coincide (resynchronized) or the corrupted side rejects
-   (detected).  Exhaustive search over this finite pair graph yields
-   either a proven worst-case bit bound or the cycle that makes the
-   desynchronization unbounded within a block.
+   bits.  We therefore take as initial pairs the two successors of every
+   state, in both orders, when both edges are defined, restrict the clean
+   component to transitions the valid stream can actually contain, and
+   absorb a pair when the two states coincide (resynchronized) or the
+   corrupted side rejects (detected).  Exhaustive search over this finite
+   pair graph yields either a proven worst-case bit bound or the cycle
+   that makes the desynchronization unbounded within a block.
 
    Separately, the classical synchronizing-sequence question — can ANY
    window of stream bits force every decoder state into lock-step? — is
@@ -209,11 +209,6 @@ type sync = {
       (** upper bound on a universal synchronizing sequence *)
 }
 
-(* step with wrap: entering an emitting state restarts at the root. *)
-let step t s b =
-  let x = t.next.((2 * s) + b) in
-  if x < 0 then None else if t.emit.(x) >= 0 then Some 0 else Some x
-
 let certify_sync t =
   (* Live (internal) states, renumbered densely; the root is live. *)
   let live = Array.make t.nstates (-1) in
@@ -225,228 +220,200 @@ let certify_sync t =
     end
   done;
   let nlive = !nlive in
-  let back = Array.make nlive 0 in
-  Array.iteri (fun s l -> if l >= 0 then back.(l) <- s) live;
-  let pid u v = (live.(u) * nlive) + live.(v) in
+  (* Each live state's successor on each bit, tabulated once: entering an
+     emitting state wraps to the root (live 0), a missing edge is -1. *)
+  let succ = Array.make (2 * nlive) (-1) in
+  for s = 0 to t.nstates - 1 do
+    if live.(s) >= 0 then
+      for b = 0 to 1 do
+        let x = t.next.((2 * s) + b) in
+        if x >= 0 then
+          succ.((2 * live.(s)) + b) <- (if t.emit.(x) >= 0 then 0 else live.(x))
+      done
+  done;
   (* ---- flip-reachable pair graph, clean component valid ---------- *)
-  (* 0 = unseen, 1 = reachable.  Absorbing outcomes are not stored. *)
-  let npairs = nlive * nlive in
-  let seen = Bytes.make npairs '\000' in
-  let q = Queue.create () in
-  let add u v =
-    (* u: clean decoder, v: corrupted; equal means merged (absorbed). *)
-    if u <> v then begin
-      let p = pid u v in
-      if Bytes.get seen p = '\000' then begin
-        Bytes.set seen p '\001';
-        Queue.add (u, v) q
-      end
+  (* Pair (u clean, v corrupted) has key [u * nlive + v].  On bit [b] it
+     moves to another key, or to [no_edge] when the valid stream cannot
+     hold [b] at [u], or to [absorbed] when the corrupted side rejects
+     (detected) or the two coincide (merged). *)
+  let no_edge = -1 and absorbed = -2 in
+  let after key b =
+    let u' = succ.((2 * (key / nlive)) + b) in
+    if u' < 0 then no_edge
+    else
+      let v' = succ.((2 * (key mod nlive)) + b) in
+      if v' < 0 || v' = u' then absorbed else (u' * nlive) + v'
+  in
+  (* Forward BFS from every flip.  Reachable pairs get dense ids in
+     discovery order, so every later array is sized by them, not by
+     nlive^2, and the flips' own pairs are ids [0, nflips). *)
+  let ids = Hashtbl.create 1024 and q = Queue.create () in
+  let add key =
+    if not (Hashtbl.mem ids key) then begin
+      Hashtbl.add ids key (Hashtbl.length ids);
+      Queue.add key q
     end
   in
-  for s = 0 to t.nstates - 1 do
-    if t.emit.(s) < 0 then
-      match (step t s 0, step t s 1) with
-      | Some u, Some v ->
-          (* flip of the bit consumed at s, both directions *)
-          add u v;
-          add v u
-      | _ -> ()
-      (* a missing sibling edge: the corrupted stream rejects on the
-         flipped bit itself — detected within one bit, nothing to add *)
+  for l = 0 to nlive - 1 do
+    (* flip of the bit consumed at l, both directions; a missing sibling
+       edge rejects on the flipped bit itself: detected, nothing to add *)
+    let u = succ.(2 * l) and v = succ.((2 * l) + 1) in
+    if u >= 0 && v >= 0 && u <> v then begin
+      add ((u * nlive) + v);
+      add ((v * nlive) + u)
+    end
   done;
-  let initial = Queue.fold (fun acc p -> p :: acc) [] q in
+  let nflips = Hashtbl.length ids in
   while not (Queue.is_empty q) do
-    let u, v = Queue.pop q in
+    let key = Queue.pop q in
     for b = 0 to 1 do
-      match step t u b with
-      | None -> ()  (* the valid stream cannot contain b here *)
-      | Some u' -> (
-          match step t v b with
-          | None -> ()  (* detected: absorbing *)
-          | Some v' -> add u' v')
+      let k = after key b in
+      if k >= 0 then add k
     done
   done;
-  let reachable = ref [] in
-  for p = 0 to npairs - 1 do
-    if Bytes.get seen p = '\001' then reachable := p :: !reachable
-  done;
-  let reachable = !reachable in
-  (* Co-reachability of an absorbing outcome, by reverse fixpoint: a pair
-     is good if some valid transition is absorbing or leads to a good
-     pair.  Iterate to fixpoint (graphs here are small). *)
-  let good = Bytes.make npairs '\000' in
-  let absorbing_from u v =
-    let out = ref false in
-    for b = 0 to 1 do
-      match step t u b with
-      | None -> ()
-      | Some u' -> (
-          match step t v b with
-          | None -> out := true  (* detected *)
-          | Some v' -> if u' = v' then out := true)
-    done;
-    !out
+  let n = Hashtbl.length ids in
+  let keys = Array.make n 0 in
+  Hashtbl.iter (fun key i -> keys.(i) <- key) ids;
+  (* edge.(2i + b): the id pair i moves to on bit b, or no_edge/absorbed. *)
+  let edge =
+    Array.init (2 * n) (fun j ->
+        let k = after keys.(j / 2) (j land 1) in
+        if k < 0 then k else Hashtbl.find ids k)
   in
-  List.iter
-    (fun p ->
-      let u = back.(p / nlive) and v = back.(p mod nlive) in
-      if absorbing_from u v then Bytes.set good p '\001')
-    reachable;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun p ->
-        if Bytes.get good p = '\000' then begin
-          let u = back.(p / nlive) and v = back.(p mod nlive) in
-          let escapes = ref false in
-          for b = 0 to 1 do
-            match (step t u b, step t v b) with
-            | Some u', Some v' when u' <> v' ->
-                if Bytes.get good (pid u' v') = '\001' then escapes := true
-            | _ -> ()
-          done;
-          if !escapes then begin
-            Bytes.set good p '\001';
-            changed := true
-          end
-        end)
-      reachable
-  done;
-  let recoverable =
-    List.for_all (fun p -> Bytes.get good p = '\001') reachable
+  (* Co-reachability of an absorbing outcome: one backward BFS over the
+     reversed pair edges, seeded with every pair that has an absorbing
+     transition.  Recoverable iff it reaches every reachable pair. *)
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun j e -> if e >= 0 then preds.(e) <- (j / 2) :: preds.(e))
+    edge;
+  let good = Bytes.make n '\000' and work = Array.make n 0 in
+  let nwork = ref 0 in
+  let mark i =
+    if Bytes.get good i = '\000' then begin
+      Bytes.set good i '\001';
+      work.(!nwork) <- i;
+      incr nwork
+    end
   in
+  for i = 0 to n - 1 do
+    if edge.(2 * i) = absorbed || edge.((2 * i) + 1) = absorbed then mark i
+  done;
+  let head = ref 0 in
+  while !head < !nwork do
+    List.iter mark preds.(work.(!head));
+    incr head
+  done;
+  let recoverable = !nwork = n in
   (* Worst-case bits to absorption: longest path over the reachable pair
      graph; a cycle means unbounded.  DFS with colors + memoized longest
      suffix (edges to absorption count 1 bit; the flipped bit itself is
      bit 1). *)
-  let color = Bytes.make npairs '\000' in
+  let color = Bytes.make n '\000' in
   (* 0 unvisited, 1 on stack, 2 done *)
-  let longest = Array.make npairs 0 in
+  let longest = Array.make n 0 in
   let exception Cycle in
-  let rec dfs p =
-    match Bytes.get color p with
+  let rec dfs i =
+    match Bytes.get color i with
     | '\001' -> raise Cycle
-    | '\002' -> longest.(p)
+    | '\002' -> longest.(i)
     | _ ->
-        Bytes.set color p '\001';
-        let u = back.(p / nlive) and v = back.(p mod nlive) in
+        Bytes.set color i '\001';
         let best = ref 0 in
         for b = 0 to 1 do
-          match step t u b with
-          | None -> ()
-          | Some u' -> (
-              match step t v b with
-              | None -> best := max !best 1
-              | Some v' ->
-                  if u' = v' then best := max !best 1
-                  else best := max !best (1 + dfs (pid u' v')))
+          let e = edge.((2 * i) + b) in
+          if e = absorbed then best := max !best 1
+          else if e >= 0 then best := max !best (1 + dfs e)
         done;
-        Bytes.set color p '\002';
-        longest.(p) <- !best;
+        Bytes.set color i '\002';
+        longest.(i) <- !best;
         !best
   in
   let resync_bits =
     if not recoverable then None
     else
       try
-        Some
-          (List.fold_left
-             (fun a (u, v) -> max a (1 + dfs (pid u v)))
-             1 initial)
         (* at least 1: the flipped bit itself, detected or re-merged *)
+        let worst = ref 1 in
+        for i = 0 to nflips - 1 do
+          worst := max !worst (1 + dfs i)
+        done;
+        Some !worst
       with Cycle -> None
   in
   (* ---- synchronizing sequence, unrestricted words ----------------- *)
-  (* Pair distance = a word length making the two components equal;
-     iterated sweeps over the reverse pair graph from the merged
-     frontier.  An absorbing Error pseudo-state stands for "reject
-     detected" — it joins the universe only when some live state has a
-     missing edge, i.e. when it is actually reachable; for complete
-     codes (every Huffman book is) it would otherwise poison the
-     mergeability check with unreachable pairs. *)
-  let has_reject =
-    let r = ref false in
-    for s = 0 to t.nstates - 1 do
-      if t.emit.(s) < 0
-         && (t.next.(2 * s) < 0 || t.next.((2 * s) + 1) < 0)
-      then r := true
-    done;
-    !r
-  in
+  (* An absorbing Error pseudo-state stands for "reject detected" — it
+     joins the universe only when some live state has a missing edge,
+     i.e. when it is actually reachable; for complete codes (every
+     Huffman book is) it would otherwise poison the mergeability check
+     with unreachable pairs. *)
+  let has_reject = Array.exists (fun x -> x < 0) succ in
   let nlive' = if has_reject then nlive + 1 else nlive in
   let err = nlive in
-  let stepu s b = if s = err then err
-    else match step t back.(s) b with None -> err | Some x -> live.(x)
+  let stepu s b =
+    if s = err then err
+    else
+      let x = succ.((2 * s) + b) in
+      if x < 0 then err else x
   in
-  let npairs' = nlive' * nlive' in
-  let dist = Array.make npairs' (-1) in
-  let qq = Queue.create () in
-  (* Frontier: pairs that merge in one bit. *)
-  for a = 0 to nlive' - 1 do
-    for b' = 0 to nlive' - 1 do
-      if a <> b' then
-        for bit = 0 to 1 do
-          let p = (a * nlive') + b' in
-          if dist.(p) < 0 && stepu a bit = stepu b' bit then begin
-            dist.(p) <- 1;
-            Queue.add p qq
-          end
-        done
+  (* rev.(2x + b): the states that enter x on bit b. *)
+  let rev = Array.make (2 * nlive') [] in
+  for s = nlive' - 1 downto 0 do
+    for b = 0 to 1 do
+      let x = stepu s b in
+      rev.((2 * x) + b) <- s :: rev.((2 * x) + b)
     done
   done;
-  (* Reverse edges by forward scan per BFS level (graphs are small). *)
-  let pending = ref (npairs' - nlive') in
-  let count_known () =
-    let k = ref 0 in
-    Array.iter (fun d -> if d >= 0 then incr k) dist;
-    !k
+  (* Shortest merging word of every unordered pair {a < c}, by one
+     backward BFS from the diagonal: on bit b the predecessors of
+     (a', c') are rev_b(a') x rev_b(c'), so the whole search costs
+     O(nlive'^2).  A BFS level is a queue segment, so no distance is
+     stored: a pair takes one seen byte, at its triangular index, and
+     one int32 queue slot holding its key [a * nlive' + c]. *)
+  if nlive' > 46340 then
+    invalid_arg "Decode_dfa.certify_sync: pair keys outgrow int32";
+  let npairs = nlive' * (nlive' - 1) / 2 in
+  let seen = Bytes.make npairs '\000' in
+  let queue = Bigarray.(Array1.create int32 c_layout npairs) in
+  let tail = ref 0 in
+  let mark a c =
+    let tri = (c * (c - 1) / 2) + a in
+    if Bytes.get seen tri = '\000' then begin
+      Bytes.set seen tri '\001';
+      queue.{!tail} <- Int32.of_int ((a * nlive') + c);
+      incr tail
+    end
   in
-  pending := npairs' - nlive' - count_known ();
-  let progress = ref true in
-  while !pending > 0 && !progress do
-    progress := false;
-    for a = 0 to nlive' - 1 do
-      for b' = 0 to nlive' - 1 do
-        if a <> b' then begin
-          let p = (a * nlive') + b' in
-          if dist.(p) < 0 then
-            for bit = 0 to 1 do
-              let a' = stepu a bit and b2 = stepu b' bit in
-              if a' <> b2 then begin
-                let p' = (a' * nlive') + b2 in
-                if dist.(p') >= 0
-                   && (dist.(p) < 0 || dist.(p) > dist.(p') + 1)
-                then begin
-                  if dist.(p) < 0 then begin
-                    decr pending;
-                    progress := true
-                  end;
-                  dist.(p) <- dist.(p') + 1
-                end
-              end
-            done
-        end
-      done
+  let visit x y = if x < y then mark x y else if y < x then mark y x in
+  let expand a c =
+    for b = 0 to 1 do
+      List.iter
+        (fun x -> List.iter (visit x) rev.((2 * c) + b))
+        rev.((2 * a) + b)
     done
+  in
+  (* Level 1: the pairs that merge in one bit, i.e. enter some (x, x). *)
+  for x = 0 to nlive' - 1 do
+    expand x x
   done;
-  let all_mergeable = ref true and maxd = ref 0 in
-  for a = 0 to nlive' - 1 do
-    for b' = 0 to nlive' - 1 do
-      if a <> b' then begin
-        let d = dist.((a * nlive') + b') in
-        if d < 0 then all_mergeable := false else maxd := max !maxd d
-      end
+  let head = ref 0 and maxd = ref 0 in
+  while !head < !tail do
+    incr maxd;
+    let level_end = !tail in
+    while !head < level_end do
+      let key = Int32.to_int queue.{!head} in
+      incr head;
+      expand (key / nlive') (key mod nlive')
     done
   done;
   let sync_word_bits =
     if nlive <= 1 then Some 0
-    else if !all_mergeable then Some ((nlive' - 1) * !maxd)
+    else if !tail = npairs then Some ((nlive' - 1) * !maxd)
     else None
   in
   {
     live_states = nlive;
-    pairs_reachable = List.length reachable;
+    pairs_reachable = n;
     recoverable;
     resync_bits;
     sync_word_bits;

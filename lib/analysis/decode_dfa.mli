@@ -76,11 +76,20 @@ type sync = {
           [None] if a reachable pair cycle makes this unbounded *)
   sync_word_bits : int option;
       (** upper bound on the length of a universal synchronizing bit
-          sequence (forces {e every} decoder state into lock-step);
-          [None] if no such sequence exists — e.g. fixed-length codes *)
+          sequence (forces {e every} decoder state into lock-step):
+          exactly [(live' - 1) * d], where [live'] counts the live states
+          plus one shared error state when some state rejects, and [d] is
+          the longest shortest merging word over all pairs of them;
+          [None] if some pair never merges — e.g. fixed-length codes *)
 }
 
 val certify_sync : t -> sync
 (** Exhaustive analysis of the pair automaton under the single-bit
     substitution fault model (the W107 model), yielding proven rather
-    than empirical resynchronization bounds. *)
+    than empirical resynchronization bounds.  Each search runs once over
+    its graph: the first four fields cost time linear in
+    [pairs_reachable], [sync_word_bits] time quadratic in the live
+    states.
+    @raise Invalid_argument when the live states, plus the error state,
+    exceed 46,340: a state pair's key no longer fits the int32 queue of
+    the synchronizing-word search. *)

@@ -61,28 +61,6 @@ let config_of_model = function
   | Fetch.Config.Base -> Fetch.Config.default_base
   | Fetch.Config.Tailored | Fetch.Config.Compressed -> Fetch.Config.default
 
-(* Certify's decode-model resolution, minus its diagnostics: worst-case
-   bits per op over the published code sources, [None] when the scheme
-   publishes no model (or names a missing book — Certify's CCCS-E204
-   owns reporting that). *)
-let worst_op_bits_of_scheme (sc : Encoding.Scheme.t) =
-  if sc.Encoding.Scheme.model = [] then None
-  else
-    List.fold_left
-      (fun acc src ->
-        match src with
-        | Encoding.Scheme.Fixed_bits { max_bits; _ } ->
-            Option.map (fun a -> a + max_bits) acc
-        | Encoding.Scheme.Book_codewords { book; max_per_op } -> (
-            match List.assoc_opt book sc.Encoding.Scheme.books with
-            | Some cb ->
-                let n =
-                  (Huffman.Codebook.stats cb).Huffman.Codebook.max_code_len
-                in
-                Option.map (fun a -> a + (max_per_op * n)) acc
-            | None -> None))
-      (Some 0) sc.Encoding.Scheme.model
-
 (* ------------------------------------------------------------------ *)
 (* Structural loop bounds: SCC peeling.                                *)
 
@@ -292,7 +270,7 @@ let analyze_scheme ~workload ~program ?tailored ?strategy ?trace
     sc.Encoding.Scheme.frame.Encoding.Scheme.len_bits
     + sc.Encoding.Scheme.frame.Encoding.Scheme.guard_bits
   in
-  let worst_op_bits = worst_op_bits_of_scheme sc in
+  let worst_op_bits = fst (Certify.resolve_model sc) in
   let span_count ~offset_bits ~size_bits =
     let first, last = Fetch.Config.line_span fetch_cfg ~offset_bits ~size_bits in
     last - first + 1

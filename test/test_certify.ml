@@ -104,6 +104,210 @@ let test_dfa_sync () =
     (s.D.sync_word_bits = None)
 
 (* ---------------------------------------------------------------- *)
+(* certify_sync against the reference (test/sync_reference.ml)       *)
+(* ---------------------------------------------------------------- *)
+
+(* A random prefix code over lengths 1-8: a binary tree split at random
+   leaves until it has 2-16 of them, which is a complete code; half the
+   time a random subset of leaves is then dropped (keeping at least one),
+   which makes it incomplete.  Symbols and list order are shuffled. *)
+let gen_prefix_code st =
+  let target = 2 + Random.State.int st 15 in
+  let rec grow leaves =
+    let splittable = List.filter (fun (_, l) -> l < 8) leaves in
+    if List.length leaves >= target || splittable = [] then leaves
+    else
+      let ((c, l) as x) =
+        List.nth splittable (Random.State.int st (List.length splittable))
+      in
+      grow ((2 * c, l + 1) :: ((2 * c) + 1, l + 1)
+            :: List.filter (( <> ) x) leaves)
+  in
+  let leaves = grow [ (0, 0) ] in
+  let leaves =
+    if Random.State.bool st then leaves
+    else
+      match List.filter (fun _ -> Random.State.int st 3 > 0) leaves with
+      | [] -> [ List.hd leaves ]
+      | kept -> kept
+  in
+  let shuffled =
+    List.map snd
+      (List.sort compare
+         (List.map (fun x -> (Random.State.bits st, x)) leaves))
+  in
+  List.mapi (fun sym (code, len) -> (sym, code, len)) shuffled
+
+let print_code codes =
+  String.concat " "
+    (List.map (fun (s, c, l) -> Printf.sprintf "%d:%d/%d" s c l) codes)
+
+let arb_prefix_code = QCheck.make ~print:print_code gen_prefix_code
+
+let sync_to_string (s : D.sync) =
+  let opt = function None -> "none" | Some n -> string_of_int n in
+  Printf.sprintf
+    "live %d, pairs %d, recoverable %b, resync %s, sync word %s"
+    s.D.live_states s.D.pairs_reachable s.D.recoverable (opt s.D.resync_bits)
+    (opt s.D.sync_word_bits)
+
+let sync_of_codes ~max_len codes =
+  match (D.of_codes ~max_len codes, Sync_reference.of_codes ~max_len codes) with
+  | Ok t, Ok r -> (D.certify_sync t, Sync_reference.certify_sync r)
+  | _ -> Alcotest.failf "not a prefix code: %s" (print_code codes)
+
+(* The exact [(live' - 1) * max shortest merge] bound by brute force: a
+   forward BFS over the pair graph from every unordered state pair, with
+   a shared Error state when some live state rejects. *)
+let brute_sync_word_bits ~max_len codes =
+  let t =
+    match Sync_reference.of_codes ~max_len codes with
+    | Ok t -> t
+    | Error _ -> Alcotest.fail "not a prefix code"
+  in
+  let live = Array.make t.Sync_reference.nstates (-1) and n = ref 0 in
+  Array.iteri
+    (fun s e ->
+      if e < 0 then begin
+        live.(s) <- !n;
+        incr n
+      end)
+    t.Sync_reference.emit;
+  let nlive = !n in
+  let back = Array.make nlive 0 in
+  Array.iteri (fun s l -> if l >= 0 then back.(l) <- s) live;
+  let step s b =
+    if s = nlive then nlive
+    else
+      match Sync_reference.step t back.(s) b with
+      | None -> nlive
+      | Some x -> live.(x)
+  in
+  let has_reject = ref false in
+  for s = 0 to nlive - 1 do
+    if step s 0 = nlive || step s 1 = nlive then has_reject := true
+  done;
+  let n' = if !has_reject then nlive + 1 else nlive in
+  let shortest a c =
+    let seen = Hashtbl.create 64 in
+    let rec level d frontier =
+      if frontier = [] then None
+      else
+        let next =
+          List.concat_map
+            (fun (x, y) -> [ (step x 0, step y 0); (step x 1, step y 1) ])
+            frontier
+        in
+        if List.exists (fun (x, y) -> x = y) next then Some d
+        else
+          let fresh =
+            List.filter
+              (fun p ->
+                if Hashtbl.mem seen p then false
+                else (
+                  Hashtbl.add seen p ();
+                  true))
+              next
+          in
+          level (d + 1) fresh
+    in
+    Hashtbl.add seen (a, c) ();
+    level 1 [ (a, c) ]
+  in
+  if nlive <= 1 then Some 0
+  else
+    let worst = ref (Some 0) in
+    for a = 0 to n' - 1 do
+      for c = a + 1 to n' - 1 do
+        match (!worst, shortest a c) with
+        | Some w, Some d -> worst := Some (max w d)
+        | _ -> worst := None
+      done
+    done;
+    Option.map (fun d -> (n' - 1) * d) !worst
+
+(* One fixed stream of random codes shared by the three properties below,
+   so they judge the same books. *)
+let prop_over_codes name check =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0x5eed |])
+    (QCheck.Test.make ~name ~count:1000 arb_prefix_code check)
+
+let prop_sync_matches_reference =
+  prop_over_codes "sync: four fields = reference" (fun codes ->
+      let got, want = sync_of_codes ~max_len:8 codes in
+      if
+        got.D.live_states = want.D.live_states
+        && got.D.pairs_reachable = want.D.pairs_reachable
+        && got.D.recoverable = want.D.recoverable
+        && got.D.resync_bits = want.D.resync_bits
+      then true
+      else
+        QCheck.Test.fail_reportf "got %s, reference %s" (sync_to_string got)
+          (sync_to_string want))
+
+let prop_sync_word_at_most_reference =
+  prop_over_codes "sync word <= reference" (fun codes ->
+      let got, want = sync_of_codes ~max_len:8 codes in
+      match (got.D.sync_word_bits, want.D.sync_word_bits) with
+      | None, None -> true
+      | Some g, Some w when g <= w -> true
+      | _ ->
+          QCheck.Test.fail_reportf "got %s, reference %s" (sync_to_string got)
+            (sync_to_string want))
+
+let prop_sync_word_exact =
+  prop_over_codes "sync word = brute-force bound" (fun codes ->
+      let got, _ = sync_of_codes ~max_len:8 codes in
+      got.D.live_states > 16
+      ||
+      let exact = brute_sync_word_bits ~max_len:8 codes in
+      got.D.sync_word_bits = exact
+      || QCheck.Test.fail_reportf "got %s, brute force %s"
+           (sync_to_string got)
+           (match exact with None -> "none" | Some n -> string_of_int n))
+
+(* {111, 01, 10, 00}: incomplete, so its four live states share an Error
+   state.  The shortest merge of its worst pair takes 6 bits, but the
+   reference's in-place sweep settled that pair through a neighbour it
+   had set earlier in the same sweep, by a 7-bit path: 4 x 7 = 28 where
+   the exact bound is 4 x 6 = 24. *)
+let test_sync_word_exact_literal () =
+  let codes = [ (0, 0b111, 3); (1, 0b01, 2); (2, 0b10, 2); (3, 0b00, 2) ] in
+  let got, want = sync_of_codes ~max_len:3 codes in
+  Alcotest.(check (option int)) "reference over-reports" (Some 28)
+    want.D.sync_word_bits;
+  Alcotest.(check (option int)) "brute force" (Some 24)
+    (brute_sync_word_bits ~max_len:3 codes);
+  Alcotest.(check (option int)) "exact bound" (Some 24) got.D.sync_word_bits
+
+(* Every book of every scheme the sweep certifies, on fir and compress:
+   all five fields equal the reference's. *)
+let test_sync_real_books () =
+  List.iter
+    (fun name ->
+      let r =
+        match Workloads.Suite.find name with
+        | Some e -> Cccs.Workload_run.load e
+        | None -> Alcotest.failf "workload %s missing" name
+      in
+      List.iter
+        (fun (scheme, sc) ->
+          List.iter
+            (fun (book, cb) ->
+              let c = Huffman.Codebook.canonical cb in
+              let got, want =
+                sync_of_codes ~max_len:(Huffman.Canonical.max_length c)
+                  (Huffman.Canonical.to_list c)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s/%s" name scheme book)
+                (sync_to_string want) (sync_to_string got))
+            sc.Scheme.books)
+        (Cccs.Experiments.every_scheme (Cccs.Experiments.schemes_of r)))
+    [ "fir"; "compress" ]
+
+(* ---------------------------------------------------------------- *)
 (* Certification: positive path                                      *)
 (* ---------------------------------------------------------------- *)
 
@@ -235,9 +439,23 @@ let test_e203_corrupt_sub () =
 
 let test_e204_unpublished_book () =
   let prog = program () in
-  let sc = Encoding.Byte_huffman.build prog in
-  let diags = certify { sc with Scheme.books = [] } in
-  has "CCCS-E204" diags
+  let sc = Encoding.Stream_huffman.build prog in
+  let stripped = { sc with Scheme.books = [] } in
+  let diags = certify stripped in
+  has "CCCS-E204" diags;
+  (* One E204 per book the model names; the model then bounds nothing,
+     for Certify and Timing_check alike. *)
+  let named =
+    List.filter_map
+      (function Scheme.Book_codewords { book; _ } -> Some book | _ -> None)
+      sc.Scheme.model
+  in
+  Alcotest.(check int)
+    "one E204 per unpublished book" (List.length named)
+    (List.length (List.filter (( = ) "CCCS-E204") (codes diags)));
+  Alcotest.(check (pair (option int) (list string)))
+    "no bound, every book named" (None, named)
+    (A.Certify.resolve_model stripped)
 
 let test_e204_block_bound () =
   let prog = program () in
@@ -364,6 +582,13 @@ let suite =
     Alcotest.test_case "DFA replay oracle" `Quick test_dfa_run;
     Alcotest.test_case "DFA structural conflicts" `Quick test_dfa_conflicts;
     Alcotest.test_case "DFA synchronization" `Quick test_dfa_sync;
+    prop_sync_matches_reference;
+    prop_sync_word_at_most_reference;
+    prop_sync_word_exact;
+    Alcotest.test_case "sync: fir+compress books = ref" `Quick
+      test_sync_real_books;
+    Alcotest.test_case "sync word exact where ref is loose" `Quick
+      test_sync_word_exact_literal;
     Alcotest.test_case "all schemes certify clean" `Quick
       test_certify_clean_all;
     Alcotest.test_case "protected scheme certifies clean" `Quick

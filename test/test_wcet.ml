@@ -104,6 +104,133 @@ let test_cache_ai_compressed_buffer () =
     (r.CA.classes.(1).CA.cache <> CA.Always_miss)
 
 (* ---------------------------------------------------------------- *)
+(* Cache_ai against the reference (test/cache_ai_reference.ml)       *)
+(* ---------------------------------------------------------------- *)
+
+let show_classes (r : CA.t) =
+  let c = function
+    | CA.Always_hit -> 'h'
+    | CA.Always_miss -> 'm'
+    | CA.Unclassified -> 'u'
+  in
+  String.concat " "
+    (Array.to_list
+       (Array.map
+          (fun (b : CA.block_class) ->
+            Printf.sprintf "%c%c" (c b.CA.cache) (c b.CA.atb))
+          r.CA.classes))
+
+(* Every scheme the sweep analyzes, on fir and compress, over the
+   program's own CFG and under both L0-buffer semantics: the classes equal
+   the reference's. *)
+let test_cache_ai_real_matches_reference () =
+  List.iter
+    (fun name ->
+      let r = load name in
+      let program = r.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+      let entry = program.Tepic.Program.entry in
+      let cfg =
+        A.Cfg_recover.recover ~entry
+          (Array.init (Tepic.Program.num_blocks program) (fun i ->
+               Tepic.Program.block_ops (Tepic.Program.block program i)))
+      in
+      List.iter
+        (fun (scheme, (sc : Encoding.Scheme.t)) ->
+          let fetch_cfg = TC.config_of_model (TC.model_of_scheme scheme) in
+          List.iter
+            (fun compressed ->
+              let run analyze =
+                show_classes
+                  (analyze ~cfg ~fetch_cfg ~compressed
+                     ~offsets:sc.Encoding.Scheme.block_offset_bits
+                     ~sizes:sc.Encoding.Scheme.block_bits ~entry)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s/%s compressed=%b" name scheme compressed)
+                (run Cache_ai_reference.analyze) (run CA.analyze))
+            [ false; true ])
+        (Cccs.Experiments.every_scheme (Cccs.Experiments.schemes_of r)))
+    [ "fir"; "compress" ]
+
+(* A random CFG of 1-64 blocks with 0-2 successors each: any block
+   (self-loops and back edges included) or, one time in ten, a target out
+   of range.  The entry is a random block, so some blocks are
+   unreachable.  Blocks sit at random bit offsets with random sizes over
+   a small random cache and ATB, so lines conflict and age out. *)
+type cfg_case = {
+  succs : int list array;
+  entry : int;
+  offsets : int array;
+  sizes : int array;
+  fetch_cfg : Fetch.Config.t;
+}
+
+let gen_cfg_case st =
+  let n = 1 + Random.State.int st 64 in
+  let target () =
+    if Random.State.int st 10 > 0 then Random.State.int st n
+    else if Random.State.bool st then -1 - Random.State.int st 3
+    else n + Random.State.int st 3
+  in
+  let ways = 1 + Random.State.int st 4 in
+  let lines = ways * (1 + Random.State.int st 4) in
+  let line_bits = Fetch.Config.default.Fetch.Config.line_bits in
+  {
+    succs =
+      Array.init n (fun _ -> List.init (Random.State.int st 3) (fun _ -> target ()));
+    entry = Random.State.int st n;
+    offsets = Array.init n (fun _ -> Random.State.int st 4000);
+    sizes = Array.init n (fun _ -> 1 + Random.State.int st 600);
+    fetch_cfg =
+      {
+        Fetch.Config.default with
+        Fetch.Config.cache_bytes = lines * line_bits / 8;
+        ways;
+        atb_entries = 1 + Random.State.int st 80;
+      };
+  }
+
+let print_cfg_case c =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "entry %d succs [%s] offsets [%s] sizes [%s] lines %d ways %d atb %d"
+    c.entry
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun l -> String.concat "," (List.map string_of_int l))
+             c.succs)))
+    (ints c.offsets) (ints c.sizes)
+    (Fetch.Config.num_lines c.fetch_cfg)
+    c.fetch_cfg.Fetch.Config.ways c.fetch_cfg.Fetch.Config.atb_entries
+
+let prop_cache_ai_random_cfgs =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Cache_ai: random CFGs = reference" ~count:1000
+       (QCheck.make ~print:print_cfg_case gen_cfg_case)
+       (fun c ->
+         let n = Array.length c.succs in
+         let cfg =
+           {
+             A.Cfg_recover.nblocks = n;
+             succs = c.succs;
+             indirect = Array.make n false;
+             reachable = Array.make n true;
+           }
+         in
+         List.for_all
+           (fun compressed ->
+             let run analyze =
+               show_classes
+                 (analyze ~cfg ~fetch_cfg:c.fetch_cfg ~compressed
+                    ~offsets:c.offsets ~sizes:c.sizes ~entry:c.entry)
+             in
+             let got = run CA.analyze and want = run Cache_ai_reference.analyze in
+             got = want
+             || QCheck.Test.fail_reportf "compressed=%b: got %s, reference %s"
+                  compressed got want)
+           [ false; true ]))
+
+(* ---------------------------------------------------------------- *)
 (* Timing_check negative paths                                       *)
 (* ---------------------------------------------------------------- *)
 
@@ -223,6 +350,9 @@ let suite =
       test_cache_ai_cold_and_prefetch;
     Alcotest.test_case "Cache_ai: compressed L0 semantics" `Quick
       test_cache_ai_compressed_buffer;
+    Alcotest.test_case "Cache_ai: fir+compress = reference" `Quick
+      test_cache_ai_real_matches_reference;
+    prop_cache_ai_random_cfgs;
     Alcotest.test_case "unbounded loop (E300)" `Quick test_e300_unbounded;
     Alcotest.test_case "foreign trace edge (E305)" `Quick
       test_e305_foreign_edge;
