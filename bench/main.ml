@@ -319,13 +319,13 @@ let write_obs rows =
     (List.length rows)
 
 (* ------------------------------------------------------------------ *)
-(* perf group: decode throughput and sweep wall-clock.                 *)
-(*                                                                     *)
-(* `bench perf` skips the Bechamel suite and measures the two things   *)
-(* the fast decode engine changed: symbol decode throughput (two-level *)
-(* table vs the bit-serial reference) and the experiment sweep         *)
-(* wall-clock at CCCS_JOBS=1 vs 4.  Results land in BENCH_perf.json    *)
-(* (schema "cccs-bench/1") for CI to archive.                          *)
+(* perf group: decode, fetch replay and sweep wall-clock.             *)
+(*                                                                    *)
+(* `bench perf` skips the Bechamel suite and measures symbol decode   *)
+(* throughput (two-level table vs the bit-serial reference), the      *)
+(* whole-image decode, the fetch models' block visits per second and  *)
+(* the experiment sweep wall-clock at CCCS_JOBS=1 vs 4.  Results land *)
+(* in BENCH_perf.json (schema "cccs-bench/1") for CI to archive.      *)
 (* ------------------------------------------------------------------ *)
 
 let now = Unix.gettimeofday
@@ -541,6 +541,65 @@ let perf_image_decode ~cores =
           ]))
     schemes
 
+(* ------------------------------------------------------------------ *)
+(* perf/fetch-sim: the three simulated Figure 13 fetch models, each   *)
+(* replaying m88ksim's trace through the ATB, the line cache, the L0  *)
+(* buffer and the bus.  Every replay must deliver exactly the ops the *)
+(* trace executed and repeat the first replay's result.               *)
+(* ------------------------------------------------------------------ *)
+
+let perf_fetch_sim ~cores =
+  let r =
+    Cccs.Workload_run.load (Option.get (Workloads.Suite.find "m88ksim"))
+  in
+  let executed =
+    Emulator.Trace.total_ops r.Cccs.Workload_run.exec.Emulator.Exec.trace
+  in
+  List.filter_map
+    (fun (name, run) ->
+      if name = "ideal" then None
+      else begin
+        (* The untimed first replay also builds the model's ATT. *)
+        let expect = run ?obs:None () in
+        let sim () =
+          let res = run ?obs:None () in
+          if res <> expect || res.Fetch.Sim.ops_delivered <> executed then
+            failwith
+              (Printf.sprintf
+                 "bench perf: fetch-sim/%s delivered %d ops of %d executed"
+                 name res.Fetch.Sim.ops_delivered executed)
+        in
+        let visits = expect.Fetch.Sim.block_visits in
+        let window () =
+          let t0 = now () in
+          let reps = ref 0 and elapsed = ref 0.0 in
+          while !elapsed < 0.2 do
+            sim ();
+            incr reps;
+            elapsed := now () -. t0
+          done;
+          float_of_int (!reps * visits) /. !elapsed
+        in
+        (* Best of three windows: noise only ever slows a window. *)
+        let samples = List.init 3 (fun _ -> window ()) in
+        let visits_per_s = List.fold_left Float.max 0.0 samples in
+        Printf.printf "perf/fetch-sim/%-10s  %6.2f M visits/s  %6.1f ns/visit\n%!"
+          name (visits_per_s /. 1e6) (1e9 /. visits_per_s);
+        Some
+          Cccs_obs.Json.(
+            Obj
+              [
+                ("name", Str ("perf/fetch-sim/" ^ name));
+                ("visits_per_s", Num visits_per_s);
+                ("ns_per_visit", Num (1e9 /. visits_per_s));
+                ("cores", int cores);
+                ("visits", int visits);
+                ("ops_delivered", int expect.Fetch.Sim.ops_delivered);
+                ("samples", Arr (List.map (fun x -> Num x) samples));
+              ])
+      end)
+    (Cccs.Experiments.fetch_models r)
+
 (* The jobs=4 sweep may not cost more than this over jobs=1. *)
 let never_lose_factor = 1.15
 
@@ -600,7 +659,7 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~image_rows ~s1 ~s4 ~cores =
+let write_perf decode_rows ~image_rows ~fetch_rows ~s1 ~s4 ~cores =
   let open Cccs_obs.Json in
   let decode_json d =
     Obj
@@ -617,6 +676,7 @@ let write_perf decode_rows ~image_rows ~s1 ~s4 ~cores =
   let rows =
     List.map decode_json decode_rows
     @ image_rows
+    @ fetch_rows
     @ [
         Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
         Obj
@@ -629,14 +689,15 @@ let write_perf decode_rows ~image_rows ~s1 ~s4 ~cores =
       ]
   in
   write_perf_rows
-    ~prefixes:[ "perf/decode/"; "perf/image-decode/"; "perf/sweep/" ]
+    ~prefixes:
+      [ "perf/decode/"; "perf/image-decode/"; "perf/fetch-sim/"; "perf/sweep/" ]
     rows;
   ledger_append ~kind:"bench_perf"
     ~schemes:(List.map (fun d -> d.scheme) decode_rows)
     rows
 
 let run_perf () =
-  Printf.printf "CCCS perf — decode throughput and sweep wall-clock\n%s\n"
+  Printf.printf "CCCS perf — decode, fetch replay and sweep wall-clock\n%s\n"
     (String.make 68 '-');
   let decode_rows = bspan "decode" perf_decode in
   List.iter
@@ -651,6 +712,7 @@ let run_perf () =
     decode_rows;
   let cores = Cccs.Parallel.cores () in
   let image_rows = bspan "image-decode" (fun () -> perf_image_decode ~cores) in
+  let fetch_rows = bspan "fetch-sim" (fun () -> perf_fetch_sim ~cores) in
   let rows1, s1 = bspan "sweep_jobs1" (fun () -> sweep_once ~jobs:1) in
   let rows4, s4 = bspan "sweep_jobs4" (fun () -> sweep_once ~jobs:4) in
   if rows1 <> rows4 then
@@ -670,7 +732,7 @@ let run_perf () =
          "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
           %.2fx never-lose bound (%d cores)"
          s4 s1 never_lose_factor cores);
-  write_perf decode_rows ~image_rows ~s1 ~s4 ~cores
+  write_perf decode_rows ~image_rows ~fetch_rows ~s1 ~s4 ~cores
 
 (* ------------------------------------------------------------------ *)
 (* fuzz group: campaign throughput and bounded-memory trace streaming. *)

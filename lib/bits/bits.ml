@@ -352,10 +352,18 @@ let flip_bits s bits =
     bits;
   Bytes.unsafe_to_string b
 
+(* Word-parallel count: 2-bit, 4-bit and 8-bit partial sums, then the
+   bytes added by shifts.  The masks stop at bit 61, the top bit of a
+   non-negative int, and no partial sum carries out of its byte. *)
 let popcount v =
   if v < 0 then invalid_arg "Bits.popcount: negative";
-  let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + (v land 1)) in
-  go v 0
+  let pairs = 0x3333_3333_3333_3333 in
+  let v = v - ((v lsr 1) land 0x1555_5555_5555_5555) in
+  let v = (v land pairs) + ((v lsr 2) land pairs) in
+  let v = (v + (v lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  let v = v + (v lsr 8) in
+  let v = v + (v lsr 16) in
+  (v + (v lsr 32)) land 0x7F
 
 let bits_needed n =
   if n <= 0 then 0

@@ -3,7 +3,7 @@
    runs them through the decompressor, costing two extra cycles over the
    baseline miss (decode rate = fill rate, pipelined). *)
 let penalty ~predicted ~cache_hit ~lines =
-  let n = max 1 lines in
+  let n = Int.max 1 lines in
   match (predicted, cache_hit) with
   | true, true -> 1
   | true, false -> 3 + (n - 1)
@@ -11,54 +11,54 @@ let penalty ~predicted ~cache_hit ~lines =
   | false, false -> 10 + (n - 1)
 
 let run ~cfg ~base_scheme ~comp_scheme ~(comp_att : Encoding.Att.t) trace =
+  let num_blocks = Array.length comp_att.Encoding.Att.entries in
   let cache = Line_cache.create cfg in
-  let atb =
-    Atb.create cfg ~num_blocks:(Array.length comp_att.Encoding.Att.entries)
-  in
+  let atb = Atb.create cfg ~num_blocks in
   let bus = Bus.create cfg ~image:comp_scheme.Encoding.Scheme.image in
+  let spans (sc : Encoding.Scheme.t) =
+    Array.map2
+      (fun offset_bits size_bits -> Config.line_span cfg ~offset_bits ~size_bits)
+      sc.Encoding.Scheme.block_offset_bits sc.Encoding.Scheme.block_bits
+  in
+  (* The cache stores decompressed ops, so it is indexed by the baseline
+     layout; memory sees the compressed lines of each block. *)
+  let base_spans = spans base_scheme and comp_spans = spans comp_scheme in
   let cycles = ref 0 in
   let ops = ref 0 and mops = ref 0 in
   let l1_hits = ref 0 and l1_misses = ref 0 in
   let mispredicts = ref 0 in
   let lines_fetched = ref 0 in
-  let prev = ref None in
+  let prev = ref (-1) in
   let predicted_next = ref (-1) in
   Emulator.Trace.iter
     (fun b ->
       let e = comp_att.Encoding.Att.entries.(b) in
-      (* The cache stores decompressed ops: index by the baseline layout. *)
-      let offset_bits = base_scheme.Encoding.Scheme.block_offset_bits.(b) in
-      let size_bits = base_scheme.Encoding.Scheme.block_bits.(b) in
+      let first, last = base_spans.(b) in
       let predicted =
-        match !prev with
-        | None -> true
-        | Some p ->
-            let ok = !predicted_next = b in
-            if not ok then incr mispredicts;
-            Atb.update atb p ~next:b;
-            ok
+        if !prev < 0 then true
+        else begin
+          let ok = !predicted_next = b in
+          if not ok then incr mispredicts;
+          Atb.update atb !prev ~next:b;
+          ok
+        end
       in
       let atb_hit = Atb.lookup atb b in
       if not atb_hit then begin
         cycles := !cycles + cfg.Config.atb_miss_penalty;
         ignore (Bus.fetch_extra_bits bus comp_att.Encoding.Att.entry_bits)
       end;
-      let cache_hit = Line_cache.block_resident cache ~offset_bits ~size_bits in
+      let cache_hit = Line_cache.refresh cache ~first ~last in
       if cache_hit then incr l1_hits
       else begin
         incr l1_misses;
-        (* Memory sees the compressed lines of this block. *)
-        let comp_off = comp_scheme.Encoding.Scheme.block_offset_bits.(b) in
-        let comp_sz = comp_scheme.Encoding.Scheme.block_bits.(b) in
-        let first, last =
-          Config.line_span cfg ~offset_bits:comp_off ~size_bits:comp_sz
-        in
-        for line = first to last do
+        let comp_first, comp_last = comp_spans.(b) in
+        for line = comp_first to comp_last do
           ignore (Bus.fetch_line bus line)
         done;
-        lines_fetched := !lines_fetched + (last - first + 1)
+        lines_fetched := !lines_fetched + (comp_last - comp_first + 1);
+        ignore (Line_cache.touch_block cache ~first ~last)
       end;
-      ignore (Line_cache.touch_block cache ~offset_bits ~size_bits);
       let pen =
         penalty ~predicted ~cache_hit ~lines:e.Encoding.Att.lines
       in
@@ -66,7 +66,7 @@ let run ~cfg ~base_scheme ~comp_scheme ~(comp_att : Encoding.Att.t) trace =
       ops := !ops + e.Encoding.Att.ops;
       mops := !mops + e.Encoding.Att.mops;
       predicted_next := Atb.predict atb b;
-      prev := Some b)
+      prev := b)
     trace;
   {
     Sim.model = "codepack";

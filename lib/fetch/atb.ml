@@ -1,10 +1,3 @@
-type entry = {
-  block : int;
-  mutable counter : int;  (* 2-bit saturating: 0-1 not taken, 2-3 taken *)
-  mutable last_target : int;
-  mutable age : int;
-}
-
 (* Optional gshare direction predictor (the paper's "more elaborate branch
    prediction" future work): a global history register XOR-indexes a
    pattern history table of 2-bit counters.  Targets still come from each
@@ -15,14 +8,17 @@ type gshare = {
   pht : int array;
 }
 
+(* One slot per block id: [resident] orders the resident entries by
+   recency, and a block's predictor state is meaningful only while it is
+   resident.  The ATT in ROM is static, so prediction state is lost when
+   an entry is evicted, exactly like a tag-indexed BTB.  We model that. *)
 type t = {
   capacity : int;
-  table : (int, entry) Hashtbl.t;
-  (* The ATT in ROM is static, so prediction state is lost when an entry
-     is evicted, exactly like a tag-indexed BTB.  We model that. *)
+  resident : Lru.t;
+  counter : int array;  (* 2-bit saturating: 0-1 not taken, 2-3 taken *)
+  last_target : int array;
   num_blocks : int;
   gshare : gshare option;
-  mutable clock : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -38,56 +34,44 @@ let create cfg ~num_blocks =
   in
   {
     capacity = cfg.Config.atb_entries;
-    table = Hashtbl.create 97;
+    resident = Lru.create num_blocks;
+    counter = Array.make num_blocks 0;
+    last_target = Array.make num_blocks 0;
     num_blocks;
     gshare;
-    clock = 0;
     hits = 0;
     misses = 0;
   }
 
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun _ e ->
-      match !victim with
-      | Some v when v.age <= e.age -> ()
-      | _ -> victim := Some e)
-    t.table;
-  match !victim with
-  | Some v -> Hashtbl.remove t.table v.block
-  | None -> ()
-
 let lookup t block =
-  t.clock <- t.clock + 1;
-  match Hashtbl.find_opt t.table block with
-  | Some e ->
-      e.age <- t.clock;
-      t.hits <- t.hits + 1;
-      true
-  | None ->
-      t.misses <- t.misses + 1;
-      if Hashtbl.length t.table >= t.capacity then evict_lru t;
-      Hashtbl.replace t.table block
-        { block; counter = 1; last_target = block + 1; age = t.clock };
-      false
+  if Lru.mem t.resident block then begin
+    Lru.touch t.resident block;
+    t.hits <- t.hits + 1;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    (* A full table evicts its LRU entry; an empty one always takes the
+       new entry, so a zero-entry ATB behaves as a one-entry one. *)
+    let n = Lru.size t.resident in
+    if n > 0 && n >= t.capacity then ignore (Lru.pop t.resident);
+    Lru.touch t.resident block;
+    t.counter.(block) <- 1;
+    t.last_target.(block) <- block + 1;
+    false
+  end
 
 let gshare_index g block = (block lxor g.history) land ((1 lsl g.history_bits) - 1)
 
 let predicts_taken t block =
   match t.gshare with
   | Some g -> g.pht.(gshare_index g block) >= 2
-  | None -> (
-      match Hashtbl.find_opt t.table block with
-      | Some e -> e.counter >= 2
-      | None -> false)
+  | None -> Lru.mem t.resident block && t.counter.(block) >= 2
 
 let predict t block =
-  let fall = min (block + 1) (t.num_blocks - 1) in
-  if predicts_taken t block then
-    match Hashtbl.find_opt t.table block with
-    | Some e -> e.last_target
-    | None -> fall
+  let fall = Int.min (block + 1) (t.num_blocks - 1) in
+  if predicts_taken t block && Lru.mem t.resident block then
+    t.last_target.(block)
   else fall
 
 let update t block ~next =
@@ -96,30 +80,28 @@ let update t block ~next =
   | Some g ->
       let i = gshare_index g block in
       g.pht.(i) <-
-        (if taken then min 3 (g.pht.(i) + 1) else max 0 (g.pht.(i) - 1));
+        (if taken then Int.min 3 (g.pht.(i) + 1)
+         else Int.max 0 (g.pht.(i) - 1));
       g.history <-
         ((g.history lsl 1) lor (if taken then 1 else 0))
         land ((1 lsl g.history_bits) - 1)
   | None -> ());
-  match Hashtbl.find_opt t.table block with
-  | Some e ->
-      if taken then begin
-        e.counter <- min 3 (e.counter + 1);
-        e.last_target <- next
-      end
-      else e.counter <- max 0 (e.counter - 1)
-  | None -> ()
+  if Lru.mem t.resident block then
+    if taken then begin
+      t.counter.(block) <- Int.min 3 (t.counter.(block) + 1);
+      t.last_target.(block) <- next
+    end
+    else t.counter.(block) <- Int.max 0 (t.counter.(block) - 1)
 
 let hits t = t.hits
 let misses t = t.misses
 
 let reset t =
-  Hashtbl.reset t.table;
+  Lru.clear t.resident;
   (match t.gshare with
   | Some g ->
       g.history <- 0;
       Array.fill g.pht 0 (Array.length g.pht) 1
   | None -> ());
-  t.clock <- 0;
   t.hits <- 0;
   t.misses <- 0

@@ -15,6 +15,11 @@
 
 type t
 
+(** [create cfg ~num_blocks] — an empty ATB for a program of [num_blocks]
+    blocks.  Every block id passed to the functions below must lie in
+    [\[0, num_blocks)]: the entries live in per-block arrays, so
+    residency, recency and predictor state cost no lookup.  Raises
+    [Invalid_argument] on a gshare history outside 2-14 bits. *)
 val create : Config.t -> num_blocks:int -> t
 
 (** [lookup t block] — [true] on an ATB hit.  A miss installs the entry

@@ -8,20 +8,31 @@ type t = {
 
 let create cfg ~image = { cfg; image; last_word = 0; flips = 0; beats = 0 }
 
-(* Read [width] bits starting at absolute bit [pos] in the image,
-   zero-padded past the end. *)
-let read_bits t ~pos ~width =
-  let v = ref 0 in
-  for i = pos to pos + width - 1 do
-    let byte = i / 8 and off = i mod 8 in
-    let bit =
-      if byte < String.length t.image then
-        (Char.code t.image.[byte] lsr (7 - off)) land 1
-      else 0
-    in
-    v := (!v lsl 1) lor bit
-  done;
-  !v
+(* One big-endian 64-bit load when the field and the 8 bytes at its first
+   byte lie inside the image; otherwise a byte at a time: the first byte
+   masked to the field, whole middle bytes, and only the leading bits of
+   the last byte, so the accumulator never holds more than [width] bits. *)
+let read_bits image ~pos ~width =
+  let b0 = pos lsr 3 and off = pos land 7 in
+  let len = String.length image in
+  if off + width <= 64 && b0 + 8 <= len then
+    Int64.to_int
+      (Int64.shift_right_logical
+         (Int64.shift_left (String.get_int64_be image b0) off)
+         (64 - width))
+  else begin
+    let byte k = if k < len then Char.code (String.unsafe_get image k) else 0 in
+    let last = pos + width - 1 in
+    let b1 = last lsr 3 and keep = (last land 7) + 1 in
+    if b0 = b1 then (byte b0 lsr (8 - keep)) land ((1 lsl width) - 1)
+    else begin
+      let acc = ref (byte b0 land (0xFF lsr off)) in
+      for k = b0 + 1 to b1 - 1 do
+        acc := (!acc lsl 8) lor byte k
+      done;
+      (!acc lsl keep) lor (byte b1 lsr (8 - keep))
+    end
+  end
 
 let drive t word =
   let f = Bits.flips_between t.last_word word in
@@ -37,14 +48,14 @@ let fetch_line t line =
   let total = ref 0 in
   for b = 0 to beats - 1 do
     let pos = start + (b * bw) in
-    let width = min bw (lb - (b * bw)) in
-    total := !total + drive t (read_bits t ~pos ~width)
+    let width = Int.min bw (lb - (b * bw)) in
+    total := !total + drive t (read_bits t.image ~pos ~width)
   done;
   !total
 
 let fetch_extra_bits t bits =
   let bw = t.cfg.Config.bus_bits in
-  let beats = (max 0 bits + bw - 1) / bw in
+  let beats = (Int.max 0 bits + bw - 1) / bw in
   let total = ref 0 in
   for _ = 1 to beats do
     (* ATT traffic content is not modelled bit-exactly; charge a half-width

@@ -11,6 +11,11 @@ type t
 
 val create : Config.t -> image:string -> t
 
+(** [read_bits image ~pos ~width] — the beat of [width] bits (1 to 62)
+    at absolute bit [pos] of [image], MSB first; bits past the end of the
+    image read as zero. *)
+val read_bits : string -> pos:int -> width:int -> int
+
 (** [fetch_line t line] — drive one memory line across the bus; returns the
     flips charged (also accumulated). *)
 val fetch_line : t -> int -> int

@@ -32,7 +32,7 @@ type model = Base | Tailored | Compressed
 (* Table 1 of the paper, transcribed.  [n] is the number of memory lines
    needed to fetch the whole block. *)
 let penalty model ~predicted ~cache_hit ~buffer_hit ~lines =
-  let n = max 1 lines in
+  let n = Int.max 1 lines in
   match (model, predicted, cache_hit, buffer_hit) with
   (* Base and Tailored have no L0 buffer: the buffer flag is ignored. *)
   | Base, true, true, _ -> 1
@@ -53,13 +53,13 @@ let penalty model ~predicted ~cache_hit ~buffer_hit ~lines =
 
 let lines_of_bits t bits =
   if t.line_bits <= 0 then invalid_arg "Config.lines_of_bits";
-  max 1 ((max 1 bits + t.line_bits - 1) / t.line_bits)
+  Int.max 1 ((Int.max 1 bits + t.line_bits - 1) / t.line_bits)
 
 let num_lines t = 8 * t.cache_bytes / t.line_bits
 
 let num_sets t =
   let lines = num_lines t in
-  max 1 (lines / t.ways)
+  Int.max 1 (lines / t.ways)
 
 (* The one line-mapping rule every consumer shares: [Line_cache]'s
    hit/touch geometry, the ATT's per-block line counts and the static
@@ -68,5 +68,5 @@ let num_sets t =
 let line_span t ~offset_bits ~size_bits =
   if t.line_bits <= 0 then invalid_arg "Config.line_span";
   let first = offset_bits / t.line_bits in
-  let last = (offset_bits + max 1 size_bits - 1) / t.line_bits in
+  let last = (offset_bits + Int.max 1 size_bits - 1) / t.line_bits in
   (first, last)

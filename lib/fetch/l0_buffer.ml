@@ -1,54 +1,40 @@
 type t = {
   capacity_ops : int;
-  entries : (int, int * int ref) Hashtbl.t;  (* block -> (ops, age) *)
+  resident : Lru.t;
+  ops : int array;  (* per resident block: its op count *)
   mutable used_ops : int;
-  mutable clock : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create cfg =
+let create cfg ~num_blocks =
   {
     capacity_ops = cfg.Config.l0_ops;
-    entries = Hashtbl.create 17;
+    resident = Lru.create num_blocks;
+    ops = Array.make num_blocks 0;
     used_ops = 0;
-    clock = 0;
     hits = 0;
     misses = 0;
   }
 
 let hit t block =
-  t.clock <- t.clock + 1;
-  match Hashtbl.find_opt t.entries block with
-  | Some (_, age) ->
-      age := t.clock;
-      t.hits <- t.hits + 1;
-      true
-  | None ->
-      t.misses <- t.misses + 1;
-      false
-
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun b (ops, age) ->
-      match !victim with
-      | Some (_, _, a) when a <= !age -> ()
-      | _ -> victim := Some (b, ops, !age))
-    t.entries;
-  match !victim with
-  | Some (b, ops, _) ->
-      Hashtbl.remove t.entries b;
-      t.used_ops <- t.used_ops - ops
-  | None -> ()
+  if Lru.mem t.resident block then begin
+    Lru.touch t.resident block;
+    t.hits <- t.hits + 1;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    false
+  end
 
 let insert t block ~ops =
-  if ops <= t.capacity_ops && not (Hashtbl.mem t.entries block) then begin
+  if ops <= t.capacity_ops && not (Lru.mem t.resident block) then begin
     while t.used_ops + ops > t.capacity_ops do
-      evict_lru t
+      t.used_ops <- t.used_ops - t.ops.(Lru.pop t.resident)
     done;
-    t.clock <- t.clock + 1;
-    Hashtbl.replace t.entries block (ops, ref t.clock);
+    Lru.touch t.resident block;
+    t.ops.(block) <- ops;
     t.used_ops <- t.used_ops + ops
   end
 
@@ -56,8 +42,7 @@ let hits t = t.hits
 let misses t = t.misses
 
 let reset t =
-  Hashtbl.reset t.entries;
+  Lru.clear t.resident;
   t.used_ops <- 0;
-  t.clock <- 0;
   t.hits <- 0;
   t.misses <- 0

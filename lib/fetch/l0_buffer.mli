@@ -10,7 +10,9 @@
 
 type t
 
-val create : Config.t -> t
+(** [create cfg ~num_blocks] — an empty buffer; block ids lie in
+    [\[0, num_blocks)], as for {!Atb.create}. *)
+val create : Config.t -> num_blocks:int -> t
 
 (** [hit t block] — whole block resident (refreshes LRU). *)
 val hit : t -> int -> bool

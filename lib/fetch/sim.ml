@@ -50,17 +50,24 @@ let ops_equal a b =
    bit-identical with and without [?obs] (the sink never feeds back). *)
 let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
     iter_blocks =
+  let num_blocks = Array.length att.Encoding.Att.entries in
   let cache = Line_cache.create cfg in
-  let atb = Atb.create cfg ~num_blocks:(Array.length att.Encoding.Att.entries) in
-  let l0 = L0_buffer.create cfg in
+  let atb = Atb.create cfg ~num_blocks in
+  let l0 = L0_buffer.create cfg ~num_blocks in
   let bus = Bus.create cfg ~image:scheme.Encoding.Scheme.image in
+  (* The layout is static: every block's line span is computed once. *)
+  let spans =
+    Array.map2
+      (fun offset_bits size_bits -> Config.line_span cfg ~offset_bits ~size_bits)
+      scheme.Encoding.Scheme.block_offset_bits scheme.Encoding.Scheme.block_bits
+  in
   let compressed = model = Config.Compressed in
   let cycles = ref 0 in
   let ops = ref 0 and mops = ref 0 in
   let l1_hits = ref 0 and l1_misses = ref 0 in
   let mispredicts = ref 0 in
   let lines_fetched = ref 0 in
-  let prev = ref None in
+  let prev = ref (-1) in
   let predicted_next = ref (-1) in
   (* Fault state: flips applied to resident lines but not yet overwritten by
      a refill, plus the blocks whose ROM bytes differ from the clean image. *)
@@ -77,9 +84,9 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
           Array.mapi
             (fun i off ->
               let sz = scheme.Encoding.Scheme.block_bits.(i) in
-              let b0 = off / 8 and b1 = (off + max 1 sz - 1) / 8 in
+              let b0 = off / 8 and b1 = (off + Int.max 1 sz - 1) / 8 in
               let len =
-                min (String.length f.rom_image)
+                Int.min (String.length f.rom_image)
                   (String.length scheme.Encoding.Scheme.image)
               in
               let rec differs k =
@@ -91,15 +98,31 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
               differs b0)
             scheme.Encoding.Scheme.block_offset_bits
   in
-  let forget_flips lines = List.iter (Hashtbl.remove line_flips) lines in
   let line_beats =
     (cfg.Config.line_bits + cfg.Config.bus_bits - 1) / cfg.Config.bus_bits
+  in
+  (* Memory traffic for block [blk]'s span: the lines missing before the
+     touch cross the bus, and a refill overwrites any upset in them. *)
+  let fill blk ~first ~last =
+    for line = first to last do
+      if not (Line_cache.line_resident cache line) then begin
+        let flips = Bus.fetch_line bus line in
+        Hashtbl.remove line_flips line;
+        match obs with
+        | Some s ->
+            Cccs_obs.Sink.emit s
+              (Cccs_obs.Event.Fetch
+                 { cycle = !cycles; visit = !visit; block = blk;
+                   ev = Cccs_obs.Event.Bus_beat { beats = line_beats; flips } })
+        | None -> ()
+      end
+    done;
+    lines_fetched := !lines_fetched + Line_cache.touch_block cache ~first ~last
   in
   iter_blocks
     (fun b ->
       let e = att.Encoding.Att.entries.(b) in
-      let offset_bits = scheme.Encoding.Scheme.block_offset_bits.(b) in
-      let size_bits = scheme.Encoding.Scheme.block_bits.(b) in
+      let first, last = spans.(b) in
       (* 0. Deliver this visit's scheduled upsets.  An upset only lands when
          its line is resident — bits in empty frames have no storage cell to
          flip — so the applied count can trail the schedule. *)
@@ -130,22 +153,22 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
       | None -> ());
       (* 1. Resolve the previous block's prediction and train it. *)
       let predicted =
-        match !prev with
-        | None -> true
-        | Some p ->
-            let ok = !predicted_next = b in
-            if not ok then begin
-              incr mispredicts;
-              match obs with
-              | Some s ->
-                  Cccs_obs.Sink.emit s
-                    (Cccs_obs.Event.Fetch
-                       { cycle = !cycles; visit = !visit; block = b;
-                         ev = Cccs_obs.Event.Mispredict })
-              | None -> ()
-            end;
-            Atb.update atb p ~next:b;
-            ok
+        if !prev < 0 then true
+        else begin
+          let ok = !predicted_next = b in
+          if not ok then begin
+            incr mispredicts;
+            match obs with
+            | Some s ->
+                Cccs_obs.Sink.emit s
+                  (Cccs_obs.Event.Fetch
+                     { cycle = !cycles; visit = !visit; block = b;
+                       ev = Cccs_obs.Event.Mispredict })
+            | None -> ()
+          end;
+          Atb.update atb !prev ~next:b;
+          ok
+        end
       in
       (* 2. ATB lookup for the new block. *)
       let atb_hit = Atb.lookup atb b in
@@ -155,7 +178,9 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
         match obs with
         | Some s ->
             let bw = cfg.Config.bus_bits in
-            let beats = (max 0 att.Encoding.Att.entry_bits + bw - 1) / bw in
+            let beats =
+              (Int.max 0 att.Encoding.Att.entry_bits + bw - 1) / bw
+            in
             Cccs_obs.Sink.emit s
               (Cccs_obs.Event.Fetch
                  { cycle = !cycles; visit = !visit; block = b;
@@ -168,19 +193,12 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
                    ev = Cccs_obs.Event.Bus_beat { beats; flips } })
         | None -> ignore flips
       end;
-      (* 3. Cache and buffer state. *)
+      (* 3. Cache and buffer state.  L0 has priority: on a buffer hit the
+         L1 is not consulted. *)
       let buffer_hit = compressed && L0_buffer.hit l0 b in
-      let cache_hit =
-        if compressed && buffer_hit then
-          (* L0 has priority; L1 is not consulted. *)
-          true
-        else Line_cache.block_resident cache ~offset_bits ~size_bits
-      in
+      let cache_hit = buffer_hit || Line_cache.refresh cache ~first ~last in
       if not buffer_hit then begin
         if cache_hit then incr l1_hits else incr l1_misses;
-        (* Memory traffic for the missing lines, then fill.  A refill
-           overwrites any pending upset in those lines. *)
-        let missing = Line_cache.fetched_lines cache ~offset_bits ~size_bits in
         (match obs with
         | Some s ->
             Cccs_obs.Sink.emit s
@@ -189,23 +207,14 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
                    ev =
                      (if cache_hit then Cccs_obs.Event.L1_hit
                       else
-                        Cccs_obs.Event.L1_miss
-                          { lines = List.length missing }) })
+                        let lines = ref 0 in
+                        for l = first to last do
+                          if not (Line_cache.line_resident cache l) then
+                            incr lines
+                        done;
+                        Cccs_obs.Event.L1_miss { lines = !lines }) })
         | None -> ());
-        List.iter
-          (fun line ->
-            let flips = Bus.fetch_line bus line in
-            match obs with
-            | Some s ->
-                Cccs_obs.Sink.emit s
-                  (Cccs_obs.Event.Fetch
-                     { cycle = !cycles; visit = !visit; block = b;
-                       ev = Cccs_obs.Event.Bus_beat { beats = line_beats; flips } })
-            | None -> ignore flips)
-          missing;
-        forget_flips missing;
-        lines_fetched :=
-          !lines_fetched + Line_cache.touch_block cache ~offset_bits ~size_bits;
+        if not cache_hit then fill b ~first ~last;
         if compressed then begin
           L0_buffer.insert l0 b ~ops:e.Encoding.Att.ops;
           match obs with
@@ -231,9 +240,8 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
          when the block's backing bits may be corrupt. *)
       (match faults with
       | Some f when not buffer_hit ->
-          let first, last =
-            Line_cache.lines_of_block cache ~offset_bits ~size_bits
-          in
+          let offset_bits = scheme.Encoding.Scheme.block_offset_bits.(b) in
+          let size_bits = scheme.Encoding.Scheme.block_bits.(b) in
           let flips = ref [] in
           if Hashtbl.length line_flips > 0 then
             for l = first to last do
@@ -278,15 +286,12 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
                 (* Recovery: invalidate the block's lines and refetch from
                    ROM at the full miss penalty; after [max_retries] failed
                    attempts, raise a machine check and deliver nothing. *)
-                let all_lines =
-                  List.init (last - first + 1) (fun i -> first + i)
-                in
                 let rec retry k =
-                  forget_flips all_lines;
-                  List.iter
-                    (fun line -> ignore (Bus.fetch_line bus line))
-                    all_lines;
-                  lines_fetched := !lines_fetched + List.length all_lines;
+                  for line = first to last do
+                    Hashtbl.remove line_flips line;
+                    ignore (Bus.fetch_line bus line)
+                  done;
+                  lines_fetched := !lines_fetched + (last - first + 1);
                   let pen =
                     Config.penalty model ~predicted:false ~cache_hit:false
                       ~buffer_hit:false ~lines:e.Encoding.Att.lines
@@ -345,28 +350,10 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
       predicted_next := Atb.predict atb b;
       if cfg.Config.prefetch_next && !predicted_next >= 0 then begin
         let p = !predicted_next in
-        let p_off = scheme.Encoding.Scheme.block_offset_bits.(p) in
-        let p_sz = scheme.Encoding.Scheme.block_bits.(p) in
-        let missing =
-          Line_cache.fetched_lines cache ~offset_bits:p_off ~size_bits:p_sz
-        in
-        List.iter
-          (fun line ->
-            let flips = Bus.fetch_line bus line in
-            match obs with
-            | Some s ->
-                Cccs_obs.Sink.emit s
-                  (Cccs_obs.Event.Fetch
-                     { cycle = !cycles; visit = !visit; block = p;
-                       ev = Cccs_obs.Event.Bus_beat { beats = line_beats; flips } })
-            | None -> ignore flips)
-          missing;
-        forget_flips missing;
-        lines_fetched :=
-          !lines_fetched
-          + Line_cache.touch_block cache ~offset_bits:p_off ~size_bits:p_sz
+        let first, last = spans.(p) in
+        fill p ~first ~last
       end;
-      prev := Some b;
+      prev := b;
       incr visit);
   {
     model = model_name model;

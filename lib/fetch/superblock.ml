@@ -70,14 +70,29 @@ let unit_span (scheme : Encoding.Scheme.t) t h =
     scheme.Encoding.Scheme.block_offset_bits.(last)
     + scheme.Encoding.Scheme.block_bits.(last)
   in
-  (offset, max 1 (stop - offset))
+  (offset, Int.max 1 (stop - offset))
 
 let run ~model ~cfg ~scheme ~(att : Encoding.Att.t) t trace =
   let cache = Line_cache.create cfg in
   let n_blocks = Array.length t.head_of in
   let atb = Atb.create cfg ~num_blocks:n_blocks in
-  let l0 = L0_buffer.create cfg in
+  let l0 = L0_buffer.create cfg ~num_blocks:n_blocks in
   let bus = Bus.create cfg ~image:scheme.Encoding.Scheme.image in
+  (* Per unit head, computed once: the unit's line span, its line count
+     and its ops. *)
+  let units =
+    Array.init n_blocks (fun h ->
+        if t.head_of.(h) <> h then (0, -1, 0, 0)
+        else
+          let offset_bits, size_bits = unit_span scheme t h in
+          let first, last = Config.line_span cfg ~offset_bits ~size_bits in
+          let ops =
+            List.fold_left
+              (fun a b -> a + att.Encoding.Att.entries.(b).Encoding.Att.ops)
+              0 (unit_blocks t h)
+          in
+          (first, last, Config.lines_of_bits cfg size_bits, ops))
+  in
   let compressed = model = Config.Compressed in
   let cycles = ref 0 in
   let ops = ref 0 and mops = ref 0 in
@@ -85,7 +100,7 @@ let run ~model ~cfg ~scheme ~(att : Encoding.Att.t) t trace =
   let mispredicts = ref 0 in
   let lines_fetched = ref 0 in
   let unit_visits = ref 0 in
-  let prev_exit = ref None in
+  let prev_exit = ref (-1) in
   let predicted_next = ref (-1) in
   (* Walk the block trace, grouping runs that follow unit order. *)
   let len = Emulator.Trace.length trace in
@@ -112,17 +127,17 @@ let run ~model ~cfg ~scheme ~(att : Encoding.Att.t) t trace =
     let unit_head = t.head_of.(h) in
     (* Control can only enter a unit at its head (no side entrances). *)
     assert (unit_head = h);
-    let offset_bits, size_bits = unit_span scheme t h in
+    let first, last, unit_lines, unit_ops = units.(h) in
     let predicted =
-      match !prev_exit with
-      | None -> true
-      | Some p ->
-          (* The previous unit's side- or end-exit block resolves where
-             control went; its entry carries the predictor state. *)
-          let ok = !predicted_next = h in
-          if not ok then incr mispredicts;
-          Atb.update atb p ~next:h;
-          ok
+      if !prev_exit < 0 then true
+      else begin
+        (* The previous unit's side- or end-exit block resolves where
+           control went; its entry carries the predictor state. *)
+        let ok = !predicted_next = h in
+        if not ok then incr mispredicts;
+        Atb.update atb !prev_exit ~next:h;
+        ok
+      end
     in
     let atb_hit = Atb.lookup atb h in
     if not atb_hit then begin
@@ -130,27 +145,21 @@ let run ~model ~cfg ~scheme ~(att : Encoding.Att.t) t trace =
       ignore (Bus.fetch_extra_bits bus att.Encoding.Att.entry_bits)
     end;
     let buffer_hit = compressed && L0_buffer.hit l0 h in
-    let cache_hit =
-      if buffer_hit then true
-      else Line_cache.block_resident cache ~offset_bits ~size_bits
-    in
+    let cache_hit = buffer_hit || Line_cache.refresh cache ~first ~last in
     if not buffer_hit then begin
-      if cache_hit then incr l1_hits else incr l1_misses;
-      List.iter
-        (fun line -> ignore (Bus.fetch_line bus line))
-        (Line_cache.fetched_lines cache ~offset_bits ~size_bits);
-      lines_fetched :=
-        !lines_fetched + Line_cache.touch_block cache ~offset_bits ~size_bits;
-      if compressed then begin
-        let unit_ops =
-          List.fold_left
-            (fun a b -> a + att.Encoding.Att.entries.(b).Encoding.Att.ops)
-            0 (unit_blocks t h)
-        in
-        L0_buffer.insert l0 h ~ops:unit_ops
-      end
+      if cache_hit then incr l1_hits
+      else begin
+        incr l1_misses;
+        (* The lines missing before the touch cross the bus, as in [Sim]. *)
+        for line = first to last do
+          if not (Line_cache.line_resident cache line) then
+            ignore (Bus.fetch_line bus line)
+        done;
+        lines_fetched :=
+          !lines_fetched + Line_cache.touch_block cache ~first ~last
+      end;
+      if compressed then L0_buffer.insert l0 h ~ops:unit_ops
     end;
-    let unit_lines = Config.lines_of_bits cfg size_bits in
     let pen =
       Config.penalty model ~predicted ~cache_hit ~buffer_hit ~lines:unit_lines
     in
@@ -162,7 +171,7 @@ let run ~model ~cfg ~scheme ~(att : Encoding.Att.t) t trace =
        lookup carries no extra latency). *)
     if !cursor <> h then ignore (Atb.lookup atb !cursor);
     predicted_next := Atb.predict atb !cursor;
-    prev_exit := Some !cursor
+    prev_exit := !cursor
   done;
   {
     Sim.model =

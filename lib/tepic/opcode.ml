@@ -79,12 +79,35 @@ let table : (t * optype * int * kind * string) list =
 
 let all = List.map (fun (op, _, _, _, _) -> op) table
 
-let row op =
-  let rec go = function
-    | [] -> assert false
-    | ((op', _, _, _, _) as r) :: rest -> if op = op' then r else go rest
-  in
-  go table
+(* Dense number of each opcode, in declaration order.  The match is
+   exhaustive, so a new opcode cannot be left out; [rows] checks that
+   [table] gives each number exactly one row. *)
+let index = function
+  | ADD -> 0 | SUB -> 1 | MUL -> 2 | DIV -> 3 | REM -> 4
+  | AND -> 5 | OR -> 6 | XOR -> 7 | NAND -> 8 | NOR -> 9
+  | SHL -> 10 | SHR -> 11 | SRA -> 12
+  | MOV -> 13 | ABS -> 14 | MIN -> 15 | MAX -> 16
+  | LDI -> 17
+  | CMPP_EQ -> 18 | CMPP_NE -> 19 | CMPP_LT -> 20 | CMPP_LE -> 21
+  | CMPP_GT -> 22 | CMPP_GE -> 23 | CMPP_LTU -> 24 | CMPP_GEU -> 25
+  | FADD -> 26 | FSUB -> 27 | FMUL -> 28 | FDIV -> 29 | FABS -> 30
+  | FNEG -> 31 | FSQRT -> 32 | FMIN -> 33 | FMAX -> 34 | FCMP -> 35
+  | ITOF -> 36 | FTOI -> 37 | FMOV -> 38
+  | LB -> 39 | LH -> 40 | LW -> 41 | LX -> 42
+  | SB -> 43 | SH -> 44 | SW -> 45 | SX -> 46
+  | BR -> 47 | BRCT -> 48 | BRCF -> 49 | BRL -> 50 | RET -> 51 | BRLC -> 52
+
+(* [table] indexed by [index], built once. *)
+let rows =
+  let a = Array.make (List.length table) None in
+  List.iter
+    (fun ((op, _, _, _, _) as r) ->
+      if a.(index op) <> None then invalid_arg "Opcode: duplicate row";
+      a.(index op) <- Some r)
+    table;
+  Array.map (function Some r -> r | None -> invalid_arg "Opcode: no row") a
+
+let row op = rows.(index op)
 
 let optype op =
   let _, ty, _, _, _ = row op in
@@ -102,13 +125,21 @@ let mnemonic op =
   let _, _, _, _, m = row op in
   m
 
+let optype_code = function Int -> 0 | Float -> 1 | Mem -> 2 | Branch -> 3
+
+(* [of_code] over the 4 x 32 (type, code) points; the first row of a
+   point wins, as in a scan of [table]. *)
+let by_code =
+  let a = Array.make (4 * 32) None in
+  List.iter
+    (fun (op, ty, c, _, _) ->
+      let i = (optype_code ty * 32) + c in
+      if a.(i) = None then a.(i) <- Some op)
+    table;
+  a
+
 let of_code ty c =
-  let rec go = function
-    | [] -> None
-    | (op, ty', c', _, _) :: rest ->
-        if ty = ty' && c = c' then Some op else go rest
-  in
-  go table
+  if c < 0 || c >= 32 then None else by_code.((optype_code ty * 32) + c)
 
 let of_mnemonic m =
   let rec go = function
@@ -116,8 +147,6 @@ let of_mnemonic m =
     | (op, _, _, _, m') :: rest -> if m = m' then Some op else go rest
   in
   go table
-
-let optype_code = function Int -> 0 | Float -> 1 | Mem -> 2 | Branch -> 3
 
 let optype_of_code = function
   | 0 -> Int

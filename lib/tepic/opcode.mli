@@ -42,6 +42,11 @@ type t =
   | RET
   | BRLC  (** loop-counter branch *)
 
+(** One row per opcode: (opcode, optype, 5-bit code, format kind,
+    mnemonic) — the single source of truth every lookup below is built
+    from, once. *)
+val table : (t * optype * int * kind * string) list
+
 val all : t list
 
 val optype : t -> optype

@@ -66,6 +66,30 @@ let test_popcount () =
   check "0xFF" 8 (Bits.popcount 0xFF);
   check "alternating" 16 (Bits.popcount 0xAAAAAAAA)
 
+(* The word-parallel popcount against the bit loop it replaced. *)
+let popcount_loop v =
+  let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + (v land 1)) in
+  go v 0
+
+let test_popcount_vs_loop () =
+  List.iter
+    (fun v -> check (Printf.sprintf "popcount %#x" v) (popcount_loop v)
+        (Bits.popcount v))
+    ([ 0; max_int ]
+    @ List.init 62 (fun k -> 1 lsl k)
+    @ List.init 62 (fun k -> (1 lsl k) - 1));
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "negative"
+        (Invalid_argument "Bits.popcount: negative") (fun () ->
+          ignore (Bits.popcount v)))
+    [ -1; min_int; -(1 lsl 40) ]
+
+let prop_popcount_vs_loop =
+  QCheck.Test.make ~name:"popcount = bit loop" ~count:1000
+    QCheck.(map (fun v -> v land max_int) int)
+    (fun v -> Bits.popcount v = popcount_loop v)
+
 let test_bits_needed () =
   check "0" 0 (Bits.bits_needed 0);
   check "1" 1 (Bits.bits_needed 1);
@@ -349,6 +373,8 @@ let suite =
     Alcotest.test_case "buffer growth" `Quick test_writer_growth;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "popcount" `Quick test_popcount;
+    Alcotest.test_case "popcount = bit loop at edges" `Quick
+      test_popcount_vs_loop;
     Alcotest.test_case "bits_needed" `Quick test_bits_needed;
     Alcotest.test_case "flips_between" `Quick test_flips;
     Alcotest.test_case "word kernels = bit loops" `Quick
@@ -361,4 +387,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_add_string_any_alignment;
     QCheck_alcotest.to_alcotest prop_crc_table_vs_bitwise;
     QCheck_alcotest.to_alcotest prop_bits_needed_sufficient;
+    QCheck_alcotest.to_alcotest prop_popcount_vs_loop;
   ]

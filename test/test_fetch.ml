@@ -141,40 +141,44 @@ let test_config_geometry () =
 
 (* --- Line cache --- *)
 
+(* The line cache names a block by its line span. *)
+let span ?(cfg = Fetch.Config.default) ~offset_bits ~size_bits () =
+  Fetch.Config.line_span cfg ~offset_bits ~size_bits
+
+let resident c (first, last) =
+  let rec go l = l > last || (Fetch.Line_cache.line_resident c l && go (l + 1)) in
+  go first
+let touch c (first, last) = Fetch.Line_cache.touch_block c ~first ~last
+
 let test_line_cache_basics () =
   let c = Fetch.Line_cache.create Fetch.Config.default in
-  Alcotest.(check bool) "cold miss" false
-    (Fetch.Line_cache.block_resident c ~offset_bits:0 ~size_bits:100);
-  check "fetches one line" 1
-    (Fetch.Line_cache.touch_block c ~offset_bits:0 ~size_bits:100);
-  Alcotest.(check bool) "now resident" true
-    (Fetch.Line_cache.block_resident c ~offset_bits:0 ~size_bits:100);
-  check "no refetch" 0 (Fetch.Line_cache.touch_block c ~offset_bits:0 ~size_bits:100);
+  let b = span ~offset_bits:0 ~size_bits:100 () in
+  Alcotest.(check bool) "cold miss" false (resident c b);
+  check "fetches one line" 1 (touch c b);
+  Alcotest.(check bool) "now resident" true (resident c b);
+  check "no refetch" 0 (touch c b);
   (* A straddling block needs both lines. *)
   check "straddler fetches the next line" 1
-    (Fetch.Line_cache.touch_block c ~offset_bits:200 ~size_bits:100)
+    (touch c (span ~offset_bits:200 ~size_bits:100 ()))
 
 let test_line_cache_restricted_placement () =
   let c = Fetch.Line_cache.create Fetch.Config.default in
-  ignore (Fetch.Line_cache.touch_block c ~offset_bits:0 ~size_bits:240);
+  ignore (touch c (span ~offset_bits:0 ~size_bits:240 ()));
   (* Block spanning lines 0-1 with only line 0 resident: not a hit. *)
   Alcotest.(check bool) "partial presence is a miss" false
-    (Fetch.Line_cache.block_resident c ~offset_bits:0 ~size_bits:480)
+    (resident c (span ~offset_bits:0 ~size_bits:480 ()))
 
 let test_line_cache_lru () =
   (* Two-way sets: three conflicting lines evict the least recent. *)
   let cfg = Fetch.Config.default in
   let sets = Fetch.Config.num_sets cfg in
   let c = Fetch.Line_cache.create cfg in
-  let line_bits i = (i * sets * cfg.Fetch.Config.line_bits, 100) in
-  let touch i =
-    let off, sz = line_bits i in
-    ignore (Fetch.Line_cache.touch_block c ~offset_bits:off ~size_bits:sz)
+  let block i =
+    span ~cfg ~offset_bits:(i * sets * cfg.Fetch.Config.line_bits)
+      ~size_bits:100 ()
   in
-  let resident i =
-    let off, sz = line_bits i in
-    Fetch.Line_cache.block_resident c ~offset_bits:off ~size_bits:sz
-  in
+  let touch i = ignore (touch c (block i)) in
+  let resident i = resident c (block i) in
   touch 0;
   touch 1;
   touch 0 (* refresh 0 *);
@@ -223,7 +227,7 @@ let test_predictor_learns_loop () =
 
 let test_l0_buffer () =
   let cfg = { Fetch.Config.default with Fetch.Config.l0_ops = 8 } in
-  let l0 = Fetch.L0_buffer.create cfg in
+  let l0 = Fetch.L0_buffer.create cfg ~num_blocks:16 in
   Alcotest.(check bool) "cold" false (Fetch.L0_buffer.hit l0 1);
   Fetch.L0_buffer.insert l0 1 ~ops:4;
   Alcotest.(check bool) "hit after insert" true (Fetch.L0_buffer.hit l0 1);
@@ -348,6 +352,326 @@ let test_kernel_fits_l0 () =
     (Printf.sprintf "L0 hit rate %.3f > 0.95" hit_rate)
     true (hit_rate > 0.95)
 
+(* --- Differential: the dense fetch models against the reference --- *)
+
+module R = Fetch_reference
+
+(* Run [sim] with a recording sink: its result, or the [Invalid_argument]
+   it raised, and every event it emitted before that, in order.  Both
+   models raise alike on one input the generator below reaches: under
+   gshare with next-block prefetch, a fresh ATB entry of the last block
+   predicts the block past the end of the layout. *)
+let recorded sim =
+  let evs = ref [] in
+  let r =
+    try Ok (sim (Cccs_obs.Sink.make (fun e -> evs := e :: !evs)))
+    with Invalid_argument m -> Error m
+  in
+  (r, List.rev !evs)
+
+let check_same label (expect, expect_evs) (got, got_evs) =
+  (match (expect, got) with
+  | Ok e, Ok g when e = g -> ()
+  | Error e, Error g when e = g -> ()
+  | _ ->
+      let show = function
+        | Ok r -> Fetch.Sim.csv_row r
+        | Error m -> "Invalid_argument " ^ m
+      in
+      Alcotest.failf "%s:\n  reference %s\n  dense     %s" label (show expect)
+        (show got));
+  let rec first_diff i = function
+    | e :: es, g :: gs ->
+        if e = g then first_diff (i + 1) (es, gs)
+        else
+          Alcotest.failf "%s: event %d\n  reference %s\n  dense     %s" label i
+            (Cccs_obs.Event.to_line e) (Cccs_obs.Event.to_line g)
+    | [], [] -> ()
+    | _ ->
+        Alcotest.failf "%s: %d reference events, %d dense" label
+          (List.length expect_evs) (List.length got_evs)
+  in
+  first_diff 0 (expect_evs, got_evs)
+
+(* Every entry of [Experiments.fetch_models], on all thirteen workloads,
+   equals the reference replay of the same scheme, configuration and
+   trace in all 21 fields. *)
+let test_reference_workloads () =
+  List.iter
+    (fun (entry : Workloads.Suite.entry) ->
+      let r = Cccs.Workload_run.load entry in
+      let s = Cccs.Experiments.schemes_of r in
+      let prog = r.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+      let trace = r.Cccs.Workload_run.exec.Emulator.Exec.trace in
+      let att sc (cfg : Fetch.Config.t) =
+        Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits prog
+      in
+      let sim model cfg sc () =
+        R.run ~model ~cfg ~scheme:sc ~att:(att sc cfg) trace
+      in
+      let reference =
+        [
+          ( "ideal",
+            fun () ->
+              R.run_ideal ~att:(att s.Cccs.Experiments.base
+                                  Fetch.Config.default_base) trace );
+          ( "base",
+            sim Fetch.Config.Base Fetch.Config.default_base
+              s.Cccs.Experiments.base );
+          ( "compressed",
+            sim Fetch.Config.Compressed Fetch.Config.default
+              s.Cccs.Experiments.full );
+          ( "tailored",
+            sim Fetch.Config.Tailored Fetch.Config.default
+              s.Cccs.Experiments.tailored );
+        ]
+      in
+      let models = Cccs.Experiments.fetch_models r in
+      Alcotest.(check (list string))
+        "fetch model names" (List.map fst reference) (List.map fst models);
+      List.iter2
+        (fun (name, expect) (_, run) ->
+          check_same
+            (entry.Workloads.Suite.name ^ " " ^ name)
+            (Ok (expect ()), []) (Ok (run ?obs:None ()), []))
+        reference models)
+    Workloads.Suite.all
+
+(* A random fetch scenario: a configuration, a byte-aligned block layout
+   over a random image (sometimes cut short, so line reads run past its
+   end), ATT entries with zero-op blocks among them, and a trace biased
+   towards fall-through and short loops so the predictor, the ATB and
+   the L0 buffer all see reuse. *)
+type scenario = {
+  cfg : Fetch.Config.t;
+  model : Fetch.Config.model;
+  scheme : Encoding.Scheme.t;
+  att : Encoding.Att.t;
+  trace : int array;
+}
+
+let some_scheme =
+  lazy
+    (Encoding.Baseline.build
+       (Cccs.Pipeline.compile (Workloads.Kernels.fir ~taps:4 ~samples:4))
+         .Cccs.Pipeline.program)
+
+let gen_scenario st =
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let line_bits = int 8 320 and bus_bits = int 1 62 and ways = int 1 4 in
+  (* Mostly one to eight sets, so a block often spans more lines than
+     the cache has sets. *)
+  let sets = if int 0 3 = 0 then int 9 64 else int 1 8 in
+  let cfg =
+    {
+      Fetch.Config.line_bits;
+      cache_bytes = ((sets * ways * line_bits) + 7) / 8;
+      ways;
+      l0_ops = int 1 40;
+      atb_entries = int 0 8;
+      atb_miss_penalty = int 0 3;
+      bus_bits;
+      predictor =
+        (if Random.State.bool st then Fetch.Config.Two_bit
+         else Fetch.Config.Gshare (int 2 14));
+      prefetch_next = Random.State.bool st;
+    }
+  in
+  let n = int 1 24 in
+  let sizes =
+    Array.init n (fun _ -> if int 0 7 = 0 then 0 else int 1 (3 * line_bits))
+  in
+  let offsets = Array.make n 0 in
+  for i = 1 to n - 1 do
+    let gap = if int 0 3 = 0 then 8 * int 1 4 else 0 in
+    offsets.(i) <- ((offsets.(i - 1) + sizes.(i - 1) + 7) / 8 * 8) + gap
+  done;
+  let bytes = (offsets.(n - 1) + sizes.(n - 1) + 7) / 8 in
+  let bytes = if int 0 3 = 0 then max 0 (bytes - int 0 16) else bytes in
+  let image = String.init bytes (fun _ -> Char.chr (int 0 255)) in
+  let entries =
+    Array.init n (fun _ ->
+        {
+          Encoding.Att.comp_addr = 0;
+          lines = int 1 4;
+          mops = int 1 6;
+          ops = (if int 0 5 = 0 then 0 else int 1 40);
+        })
+  in
+  let entry_bits = int 0 64 in
+  let att =
+    { Encoding.Att.entries; entry_bits; raw_bits = n * entry_bits;
+      compressed_bits = n * entry_bits }
+  in
+  let scheme =
+    {
+      (Lazy.force some_scheme) with
+      Encoding.Scheme.image;
+      code_bits = 8 * bytes;
+      block_offset_bits = offsets;
+      block_bits = sizes;
+    }
+  in
+  let trace = Array.make (int 0 300) 0 in
+  let b = ref (int 0 (n - 1)) in
+  Array.iteri
+    (fun i _ ->
+      trace.(i) <- !b;
+      b :=
+        match int 0 9 with
+        | 0 | 1 | 2 | 3 | 4 -> min (n - 1) (!b + 1)
+        | 5 | 6 | 7 -> max 0 (!b - int 1 4)
+        | _ -> int 0 (n - 1))
+    trace;
+  let model =
+    match int 0 2 with
+    | 0 -> Fetch.Config.Base
+    | 1 -> Fetch.Config.Tailored
+    | _ -> Fetch.Config.Compressed
+  in
+  { cfg; model; scheme; att; trace }
+
+let print_scenario sc =
+  let c = sc.cfg in
+  Printf.sprintf
+    "line_bits=%d bus_bits=%d ways=%d sets=%d l0_ops=%d atb=%d gshare=%b \
+     prefetch=%b model=%s blocks=%d image=%dB trace=[%s]"
+    c.Fetch.Config.line_bits c.Fetch.Config.bus_bits c.Fetch.Config.ways
+    (Fetch.Config.num_sets c) c.Fetch.Config.l0_ops c.Fetch.Config.atb_entries
+    (c.Fetch.Config.predictor <> Fetch.Config.Two_bit)
+    c.Fetch.Config.prefetch_next
+    (match sc.model with
+    | Fetch.Config.Base -> "base"
+    | Fetch.Config.Tailored -> "tailored"
+    | Fetch.Config.Compressed -> "compressed")
+    (Array.length sc.att.Encoding.Att.entries)
+    (String.length sc.scheme.Encoding.Scheme.image)
+    (String.concat ";" (Array.to_list (Array.map string_of_int sc.trace)))
+
+let prop_reference_random =
+  QCheck.Test.make ~name:"random configs, layouts and traces = reference"
+    ~count:500
+    (QCheck.make ~print:print_scenario gen_scenario)
+    (fun { cfg; model; scheme; att; trace } ->
+      let iter f = Array.iter f trace in
+      check_same "random scenario"
+        (recorded (fun obs -> R.run_iter ~obs ~model ~cfg ~scheme ~att iter))
+        (recorded (fun obs ->
+             Fetch.Sim.run_iter ~obs ~model ~cfg ~scheme ~att iter));
+      true)
+
+(* Fault plans built the way [Cccs.Faults] builds them: eight upsets
+   scheduled into the lines of recently visited blocks, or a ROM image
+   with four flipped cells, on fir and compress, bare and CRC-8 framed.
+   The results and event streams must match the reference, and the
+   campaign must reach detection, correction, silent corruption and
+   machine checks somewhere. *)
+let test_reference_fault_plans () =
+  let module Rng = Cccs.Faults.Rng in
+  let totals = Array.make 4 0 in
+  List.iter
+    (fun bench ->
+      let r = Cccs.Workload_run.load (Option.get (Workloads.Suite.find bench)) in
+      let s = Cccs.Experiments.schemes_of r in
+      let prog = r.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+      let trace = r.Cccs.Workload_run.exec.Emulator.Exec.trace in
+      let reference b = Tepic.Program.block_ops (Tepic.Program.block prog b) in
+      List.iter
+        (fun (name, sc, model, cfg) ->
+          List.iter
+            (fun protection ->
+              let sc = Encoding.Scheme.protect protection sc in
+              let att =
+                Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits prog
+              in
+              let rng = Rng.create (Rng.mix 11 name) in
+              let n = Emulator.Trace.length trace in
+              let offs = sc.Encoding.Scheme.block_offset_bits in
+              let sizes = sc.Encoding.Scheme.block_bits in
+              let upsets =
+                let evs = ref [] in
+                for _ = 1 to 8 do
+                  let v = 1 + Rng.int rng (n - 1) in
+                  let b = Emulator.Trace.get trace (v - 1) in
+                  if sizes.(b) > 0 then
+                    evs := (v, offs.(b) + Rng.int rng sizes.(b)) :: !evs
+                done;
+                let a = Array.of_list !evs in
+                Array.sort (fun (a, _) (b, _) -> compare a b) a;
+                a
+              in
+              let image = sc.Encoding.Scheme.image in
+              let rom =
+                Bits.flip_bits image
+                  (List.init 4 (fun _ -> Rng.int rng (8 * String.length image)))
+              in
+              List.iter
+                (fun (label, rom_image, line_events) ->
+                  let faults =
+                    {
+                      Fetch.Sim.rom_image;
+                      line_events;
+                      decode_check =
+                        (fun img b ->
+                          Encoding.Scheme.decode_block_checked ~image:img sc b);
+                      reference;
+                      max_retries = 2;
+                    }
+                  in
+                  let got =
+                    recorded (fun obs ->
+                        Fetch.Sim.run ~faults ~obs ~model ~cfg ~scheme:sc ~att
+                          trace)
+                  in
+                  let res = Result.get_ok (fst got) in
+                  check_same
+                    (Printf.sprintf "%s %s %s %s" bench name
+                       (Encoding.Scheme.protection_name protection) label)
+                    (recorded (fun obs ->
+                         R.run ~faults ~obs ~model ~cfg ~scheme:sc ~att trace))
+                    got;
+                  totals.(0) <- totals.(0) + res.Fetch.Sim.faults_detected;
+                  totals.(1) <- totals.(1) + res.Fetch.Sim.faults_corrected;
+                  totals.(2) <- totals.(2) + res.Fetch.Sim.silent_corruptions;
+                  totals.(3) <- totals.(3) + res.Fetch.Sim.machine_checks)
+                [ ("upsets", image, upsets); ("rom", rom, [||]) ])
+            [ Encoding.Scheme.Unprotected; Encoding.Scheme.Crc8 ])
+        [
+          ("base", s.Cccs.Experiments.base, Fetch.Config.Base,
+           Fetch.Config.default_base);
+          ("full", s.Cccs.Experiments.full, Fetch.Config.Compressed,
+           Fetch.Config.default);
+          ("tailored", s.Cccs.Experiments.tailored, Fetch.Config.Tailored,
+           Fetch.Config.default);
+        ])
+    [ "fir"; "compress" ];
+  List.iteri
+    (fun i what ->
+      Alcotest.(check bool) ("campaign reached " ^ what) true (totals.(i) > 0))
+    [ "detection"; "correction"; "silent corruption"; "machine checks" ]
+
+(* The word-wise beat read against the bit loop it replaced, at every
+   bit offset and width, up to and past the end of the image. *)
+let test_bus_read_bits () =
+  let rng = Random.State.make [| 0xb05 |] in
+  let image = String.init 24 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let ones = String.make 24 '\xff' in
+  List.iter
+    (fun image ->
+      let old = R.Bus.create Fetch.Config.default ~image in
+      for byte = 0 to 26 do
+        for off = 0 to 7 do
+          let pos = (8 * byte) + off in
+          for width = 1 to 62 do
+            check
+              (Printf.sprintf "pos=%d width=%d" pos width)
+              (R.Bus.read_bits old ~pos ~width)
+              (Fetch.Bus.read_bits image ~pos ~width)
+          done
+        done
+      done)
+    [ image; ones ]
+
 let suite =
   [
     Alcotest.test_case "Table 1 penalties, verbatim" `Quick test_table1_exact;
@@ -371,4 +695,12 @@ let suite =
     Alcotest.test_case "simulation deterministic" `Quick test_sim_deterministic;
     Alcotest.test_case "DSP kernel lives in L0 (paper §4)" `Quick
       test_kernel_fits_l0;
+    Alcotest.test_case "bus beat read = bit loop" `Quick test_bus_read_bits;
+    Alcotest.test_case "13 workloads, 4 models = reference" `Quick
+      test_reference_workloads;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0xfe7c |])
+      prop_reference_random;
+    Alcotest.test_case "fault plans = reference" `Quick
+      test_reference_fault_plans;
   ]
