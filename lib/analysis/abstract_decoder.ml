@@ -2,8 +2,8 @@
    decode path, driven only by the scheme's *published* ROM artifacts:
    canonical codebooks, field-width tables, the tailored spec, the
    dictionary contents and the frame geometry.  It deliberately never
-   calls the encoder's [decode_payload] closures and never seeks by the
-   encoder's block index, so a bug in the builders cannot hide itself —
+   calls the scheme's own decoder ([transcode_payload]) and never seeks by
+   the encoder's block index, so a bug in the builders cannot hide itself —
    the image is decoded from bit 0 forward exactly as a hardware decoder
    ROM-programmed from the same tables would.
 

@@ -1,8 +1,8 @@
 (** An independent re-implementation of every scheme's decode path,
     driven only by the scheme's {e published} ROM artifacts: canonical
     codebooks, field-width tables, the tailored spec, the dictionary
-    contents and the frame geometry.  It never calls the encoder's
-    [decode_payload] closures and never seeks by the encoder's block
+    contents and the frame geometry.  It never calls the scheme's own
+    decoder ([transcode_payload]) and never seeks by the encoder's block
     index, so a builder bug cannot hide itself — the image is decoded
     from bit 0 forward exactly as a hardware decoder ROM-programmed from
     the same tables would.

@@ -82,17 +82,6 @@ module Writer = struct
       w.nbits <- w.nbits + width
     end
 
-  let add_string w s =
-    let n = String.length s in
-    if n > 0 then
-      if w.nbits land 7 = 0 then begin
-        (* Byte-aligned: the whole string lands on byte boundaries. *)
-        ensure w (8 * n);
-        Bytes.blit_string s 0 w.bytes (w.nbits lsr 3) n;
-        w.nbits <- w.nbits + (8 * n)
-      end
-      else String.iter (fun c -> add_bits w ~width:8 (Char.code c)) s
-
   let align_byte w =
     let pad = (8 - (w.nbits land 7)) land 7 in
     for _ = 1 to pad do

@@ -24,10 +24,6 @@ module Writer : sig
       fit in [width] bits. *)
   val add_bits : t -> width:int -> int -> unit
 
-  (** [add_string w s] appends every bit of the byte string [s].  When the
-      writer is byte-aligned this is a single [Bytes.blit_string]. *)
-  val add_string : t -> string -> unit
-
   (** [align_byte w] pads with zero bits to the next byte boundary and
       returns the number of padding bits added. *)
   val align_byte : t -> int

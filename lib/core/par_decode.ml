@@ -19,10 +19,10 @@ let classify (_ : Scheme.t) = ()
 type report = { jobs : int; chunks : int }
 
 (* Each block is transcoded straight into the output writer as 40-bit
-   baseline words — no Op.t list in between — through the same verifying
-   frame walk as the checked Op.t decode, so a corrupt image yields the
-   same typed error at the same position.  Both cursors skip the
-   byte-alignment padding between blocks. *)
+   baseline words — no Op.t list in between — through the verifying frame
+   walk that the per-block decode also takes, so a corrupt image yields
+   the typed error at the position a per-block decode reports.  Both
+   cursors skip the byte-alignment padding between blocks. *)
 let decode ?obs (s : Scheme.t) =
   Cccs_obs.Sink.timed ?obs ~stage:Cccs_obs.Event.Decode ~label:"decode"
   @@ fun () ->

@@ -8,14 +8,11 @@ let build program =
       (fun b -> Tepic.Program.block_num_ops b)
       program.Tepic.Program.blocks
   in
-  let decode_payload r i =
-    List.init counts.(i) (fun _ -> Tepic.Encode.decode r)
-  in
-  (* One peek per op.  Encode.decode checks the opcode point once it has
-     read the 9-bit prefix, so the prefix is consumed before [normalize]
-     can raise, and the rest after.  An op cut short by the end of the
-     stream takes the Op.t path, whose truncation errors it must
-     reproduce. *)
+  (* One peek per op.  The 9-bit prefix is consumed before [normalize]
+     checks the opcode point, so an undefined point raises with the cursor
+     past the prefix, as Encode.decode does.  An op cut short by the end
+     of the stream goes through Encode.decode, which raises at the field
+     that runs out. *)
   let op_bits = Tepic.Format_spec.op_bits
   and prefix_bits = Tepic.Format_spec.prefix_bits in
   let transcode_payload r w i =
@@ -50,6 +47,5 @@ let build program =
             max_bits = Tepic.Format_spec.op_bits;
           };
       ];
-    decode_payload;
     transcode_payload;
   }

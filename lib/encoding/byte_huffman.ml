@@ -24,20 +24,14 @@ let build program =
       (fun b -> Tepic.Program.block_num_ops b)
       program.Tepic.Program.blocks
   in
-  let read_block r i =
+  (* Every symbol of the block is read before any op is checked, so a bad
+     op raises with the cursor past the block. *)
+  let transcode_payload r w i =
     let bytes = Bytes.create (Tepic.Format_spec.op_bytes * counts.(i)) in
     for j = 0 to Bytes.length bytes - 1 do
       Bytes.set bytes j (Char.chr (Huffman.Codebook.read book r))
     done;
-    Bytes.unsafe_to_string bytes
-  in
-  let decode_payload r i =
-    Tepic.Encode.decode_ops ~count:counts.(i) (read_block r i)
-  in
-  (* Like the Op.t path, every symbol of the block is read before any op
-     is checked, so a bad op raises with the cursor past the block. *)
-  let transcode_payload r w i =
-    let ops = Bits.Reader.of_string (read_block r i) in
+    let ops = Bits.Reader.of_string (Bytes.unsafe_to_string bytes) in
     for _ = 1 to counts.(i) do
       Bits.Writer.add_bits w ~width:Tepic.Format_spec.op_bits
         (Tepic.Encode.normalize
@@ -66,6 +60,5 @@ let build program =
         Scheme.Book_codewords
           { book = "byte"; max_per_op = Tepic.Format_spec.op_bytes };
       ];
-    decode_payload;
     transcode_payload;
   }

@@ -91,26 +91,7 @@ let build program =
       (fun b -> Tepic.Program.block_num_ops b)
       program.Tepic.Program.blocks
   in
-  let decode_payload r i =
-    let out = ref [] in
-    let remaining = ref op_counts.(i) in
-    while !remaining > 0 do
-      if Bits.Reader.read_bit r then begin
-        let idx = Bits.Reader.read_bits r ~width:idx_bits in
-        if idx >= nentries then failwith "Dictionary: bad reference";
-        List.iter
-          (fun v -> out := Tepic.Encode.of_int v :: !out)
-          entries.(idx);
-        remaining := !remaining - List.length entries.(idx)
-      end
-      else begin
-        out := Tepic.Encode.of_int (Bits.Reader.read_bits r ~width:op_bits) :: !out;
-        decr remaining
-      end
-    done;
-    List.rev !out
-  in
-  (* The transcoder's entries, as baseline words ready to append. *)
+  (* The entries, as baseline words ready to append. *)
   let entry_words =
     Array.map
       (fun seq -> Array.of_list (List.map Tepic.Encode.normalize seq))
@@ -169,6 +150,5 @@ let build program =
             max_bits = 1 + op_bits;
           };
       ];
-    decode_payload;
     transcode_payload;
   }

@@ -21,10 +21,6 @@ let build program =
       (fun b -> Tepic.Program.block_num_ops b)
       program.Tepic.Program.blocks
   in
-  let decode_payload r i =
-    List.init counts.(i) (fun _ ->
-        Tepic.Encode.of_int (Huffman.Codebook.read book r))
-  in
   let transcode_payload r w i =
     for _ = 1 to counts.(i) do
       Bits.Writer.add_bits w ~width:Tepic.Format_spec.op_bits
@@ -49,6 +45,5 @@ let build program =
       };
     books = [ ("full", book) ];
     model = [ Scheme.Book_codewords { book = "full"; max_per_op = 1 } ];
-    decode_payload;
     transcode_payload;
   }

@@ -57,7 +57,6 @@ type t = {
   decoder : decoder_info;
   books : (string * Huffman.Codebook.t) list;
   model : code_source list;
-  decode_payload : Bits.Reader.t -> int -> Tepic.Op.t list;
   transcode_payload : Bits.Reader.t -> Bits.Writer.t -> int -> unit;
 }
 
@@ -88,30 +87,27 @@ let exn_message = function
   | exn -> Printexc.to_string exn
 
 (* The verifying walk of one block frame with the reader already positioned
-   on the block's first bit, parameterised by the payload action: decode to
-   ops, or transcode straight to baseline words.  Factored out of
-   [decode_block_checked] so the whole-image decode (Cccs.Par_decode)
-   walks blocks back-to-back through the exact same checks — a corrupt
-   stream yields the same typed error, at the same bit position, whichever
-   path found it.  [payload r] runs one of the scheme's payload decoders
-   from the block's first bit (a protected scheme's decoders skip the
-   length field themselves). *)
-let checked_at t r i payload =
+   on the block's first bit, appending the block's baseline words to [w].
+   The whole-image decode (Cccs.Par_decode) walks blocks back-to-back
+   through it, and the per-block [Op.t] decode below is a view of it, so a
+   corrupt stream yields the same typed error, at the same bit position,
+   whichever path found it.  The payload transcoder runs from the block's
+   first bit, or just past the length field of a protected frame. *)
+let transcode_block_checked_at t r w i =
   let offset = Bits.Reader.pos r in
   let fail reason =
     Error { scheme = t.name; block = i; bit = Bits.Reader.pos r; reason }
   in
   let run_and_check ~expect_consumed =
-    let start = Bits.Reader.pos r in
-    match payload r with
+    match t.transcode_payload r w i with
     | exception exn -> fail (exn_message exn)
-    | x ->
-        let consumed = Bits.Reader.pos r - start in
+    | () ->
+        let consumed = Bits.Reader.pos r - offset in
         if consumed <> expect_consumed then
           fail
             (Printf.sprintf "consumed %d bits, block frame holds %d" consumed
                expect_consumed)
-        else Ok x
+        else Ok ()
   in
   match t.frame.protection with
   | Unprotected -> run_and_check ~expect_consumed:t.block_bits.(i)
@@ -139,22 +135,27 @@ let checked_at t r i payload =
                        "guard word %#x disagrees with payload %s %#x" guard
                        (protection_name p) crc)
               | Some _ -> (
-                  Bits.Reader.seek r offset;
-                  (* The payload decoder re-reads the length field. *)
+                  Bits.Reader.seek r (offset + f.len_bits);
                   match run_and_check ~expect_consumed:(f.len_bits + plen) with
-                  | Ok _ as ok ->
+                  | Ok () ->
                       (* Step over the already-verified guard word so the
                          cursor rests past the whole framed block — the
                          invariant the back-to-back image walk relies on. *)
                       Bits.Reader.advance r f.guard_bits;
-                      ok
+                      Ok ()
                   | Error _ as e -> e))))
 
+(* Every transcoder writes canonical words (each passes through
+   [Encode.normalize] or a table built from it), so [decode_ops] cannot
+   raise on what an [Ok] left in [w]. *)
 let decode_block_checked_at t r i =
-  checked_at t r i (fun r -> t.decode_payload r i)
-
-let transcode_block_checked_at t r w i =
-  checked_at t r i (fun r -> t.transcode_payload r w i)
+  let w = Bits.Writer.create () in
+  Result.map
+    (fun () ->
+      Tepic.Encode.decode_ops
+        ~count:(Bits.Writer.length w / Tepic.Format_spec.op_bits)
+        (Bits.Writer.contents w))
+    (transcode_block_checked_at t r w i)
 
 let decode_block_checked ?image t i =
   let image = match image with Some s -> s | None -> t.image in
@@ -175,33 +176,22 @@ let decode_block_checked ?image t i =
   end
 
 let verify t program =
-  let n = Tepic.Program.num_blocks program in
-  let r = Bits.Reader.of_string t.image in
-  for i = 0 to n - 1 do
+  for i = 0 to Tepic.Program.num_blocks program - 1 do
     let original = Tepic.Program.block_ops (Tepic.Program.block program i) in
-    Bits.Reader.seek r t.block_offset_bits.(i);
-    let decoded = t.decode_payload r i in
-    if List.length original <> List.length decoded then
-      failwith
-        (Printf.sprintf "%s: block %d decodes to %d ops, expected %d" t.name i
-           (List.length decoded) (List.length original));
-    List.iteri
-      (fun j (a, b) ->
-        if not (Tepic.Op.equal a b) then
+    match decode_block_checked t i with
+    | Error e -> failwith (decode_error_to_string e)
+    | Ok decoded ->
+        if List.length original <> List.length decoded then
           failwith
-            (Printf.sprintf "%s: block %d op %d mismatch: %s vs %s" t.name i j
-               (Tepic.Op.to_string a) (Tepic.Op.to_string b)))
-      (List.combine original decoded);
-    (* Bit accounting: a decoder that consumes more or fewer bits than the
-       block holds can still return the right ops (over-reading into the
-       next block, or resynchronizing by luck); catch it here. *)
-    let consumed = Bits.Reader.pos r - t.block_offset_bits.(i) in
-    let expect = t.block_bits.(i) - t.frame.guard_bits in
-    if consumed <> expect then
-      failwith
-        (Printf.sprintf
-           "%s: block %d decode consumed %d bits, frame holds %d" t.name i
-           consumed expect)
+            (Printf.sprintf "%s: block %d decodes to %d ops, expected %d" t.name
+               i (List.length decoded) (List.length original));
+        List.iteri
+          (fun j (a, b) ->
+            if not (Tepic.Op.equal a b) then
+              failwith
+                (Printf.sprintf "%s: block %d op %d mismatch: %s vs %s" t.name
+                   i j (Tepic.Op.to_string a) (Tepic.Op.to_string b)))
+          (List.combine original decoded)
   done
 
 let build_blocks program encode_block =
@@ -248,17 +238,6 @@ let protect p t =
         ignore (Bits.Writer.align_byte w)
       done;
       let image = Bits.Writer.contents w in
-      let len_bits' = len_bits in
-      (* Both payload decoders skip the length field; the guard word after
-         the payload is left unread (checked_at is the verifying path). *)
-      let decode_payload r i =
-        ignore (Bits.Reader.read_bits r ~width:len_bits');
-        t.decode_payload r i
-      in
-      let transcode_payload r w i =
-        ignore (Bits.Reader.read_bits r ~width:len_bits');
-        t.transcode_payload r w i
-      in
       {
         t with
         image;
@@ -272,6 +251,4 @@ let protect p t =
             guard_bits = gbits;
             protection_bits = n * (len_bits + gbits);
           };
-        decode_payload;
-        transcode_payload;
       }

@@ -3,8 +3,9 @@
     A scheme turns a scheduled program into a ROM image plus everything the
     evaluation needs: per-block offsets and sizes (blocks are the atomic
     fetch unit and are byte-aligned, paper §3.3), the ROM cost of any
-    decode tables, the decoder complexity parameters, and a verified
-    decoder back to the original operations.
+    decode tables, the decoder complexity parameters, and the one decoder
+    back to the original operations: [transcode_payload] expands the
+    image into baseline words, and the [Op.t] decode is a view of it.
 
     A scheme may additionally carry a {e protected} block framing
     ({!protect}): every block is wrapped as
@@ -78,22 +79,18 @@ type t = {
           against its codebook's decode automaton and checks every built
           block against the implied worst-case size (framing excluded —
           {!protect} accounts for it separately and preserves the model) *)
-  decode_payload : Bits.Reader.t -> int -> Tepic.Op.t list;
-      (** [decode_payload r i] — decode block [i]'s ops starting at [r]'s
-          current position (which need not lie in this scheme's own image:
-          fault campaigns decode corrupted copies).  May raise on malformed
-          input; {!decode_block_checked} is the total wrapper. *)
   transcode_payload : Bits.Reader.t -> Bits.Writer.t -> int -> unit;
-      (** [transcode_payload r w i] — {!decode_payload} straight to the
-          baseline image: append block [i]'s ops to [w] as 40-bit baseline
-          words ([Tepic.Encode.encode] of each decoded op) without building
-          any [Op.t].  It reads [r] in [decode_payload]'s order and raises
-          the same exception at the same cursor position, so the checked
-          wrapper {!transcode_block_checked_at} reports exactly
-          {!decode_block_checked_at}'s error.  On a raise, [w] holds a
-          partial block.  Its tables are built eagerly when the scheme is
-          built, so a decode pays only for decoding, and it keeps no
-          mutable buffer across calls. *)
+      (** [transcode_payload r w i] — the scheme's one payload decoder:
+          read block [i]'s payload from [r]'s current position (which need
+          not lie in this scheme's own image: fault campaigns decode
+          corrupted copies) and append its ops to [w] as canonical 40-bit
+          baseline words ([Tepic.Encode.normalize]d, reserved fields zero),
+          without building any [Op.t].  On a protected scheme the payload
+          starts just past the block's length field.  May raise on
+          malformed input, leaving a partial block in [w];
+          {!transcode_block_checked_at} is the total wrapper.  Its tables
+          are built eagerly when the scheme is built, so a decode pays only
+          for decoding, and it keeps no mutable buffer across calls. *)
 }
 
 (** [ratio t ~baseline_bits] — code-segment compression ratio (1.0 = no
@@ -117,35 +114,33 @@ val decode_error_to_string : decode_error -> string
     minus the length field and guard word. *)
 val payload_bits : t -> int -> int
 
-(** [decode_block_checked ?image t i] — total decode of block [i], reading
-    from [image] (default: the scheme's own ROM).  Never raises on
-    corrupted data: all decoder exceptions, over- and under-consumption of
-    the block's bits and — for protected schemes — length-field and CRC
-    guard mismatches are returned as [Error].  An [Ok] result from a
-    protected frame means the payload passed its guard word. *)
-val decode_block_checked :
-  ?image:string -> t -> int -> (Tepic.Op.t list, decode_error) result
+(** [transcode_block_checked_at t r w i] — total decode of block [i] with
+    the reader [r] already positioned on the block's first bit, appending
+    its baseline words to [w].  Never raises on corrupted data: every
+    decoder exception, over- and under-consumption of the block's bits and
+    — for protected schemes — length-field and CRC guard mismatches are
+    returned as [Error] (with a partial block in [w]).  An [Ok] from a
+    protected frame means the payload passed its guard word, and leaves
+    the cursor just past the block's last framed bit (before any
+    byte-alignment padding), so a caller can walk blocks back-to-back.
+    The whole-image decode's hot path ([Cccs.Par_decode.decode]). *)
+val transcode_block_checked_at :
+  t -> Bits.Reader.t -> Bits.Writer.t -> int -> (unit, decode_error) result
 
-(** [decode_block_checked_at t r i] — {!decode_block_checked} with the
-    reader [r] already positioned on block [i]'s first bit, so a caller
-    can walk blocks back-to-back and still get the typed error, at the
-    same bit position, that a per-block checked decode reports.  On [Ok]
-    the cursor rests just past the block's last framed bit (before any
-    byte-alignment padding). *)
+(** [decode_block_checked_at t r i] — the [Op.t] view of
+    {!transcode_block_checked_at}: the block is transcoded into a scratch
+    writer and, on [Ok], its words are decoded with
+    [Tepic.Encode.decode_ops].  The same checks, the same error (block,
+    bit and reason) and the same cursor. *)
 val decode_block_checked_at :
   t -> Bits.Reader.t -> int -> (Tepic.Op.t list, decode_error) result
 
-(** [transcode_block_checked_at t r w i] — {!decode_block_checked_at}
-    through [transcode_payload]: the same length-field, CRC-guard and
-    consumed-bits checks, walked by the same code, with block [i]'s
-    baseline words appended to [w] instead of returned as ops.  [Ok ()]
-    leaves [w] holding [Tepic.Encode.encode_ops] of the ops
-    {!decode_block_checked_at} would return, and the cursor where it would
-    leave it; an [Error] is the same error, block, bit and reason (with a
-    partial block in [w]).  The whole-image decode's hot path
-    ([Cccs.Par_decode.decode]). *)
-val transcode_block_checked_at :
-  t -> Bits.Reader.t -> Bits.Writer.t -> int -> (unit, decode_error) result
+(** [decode_block_checked ?image t i] — {!decode_block_checked_at} of
+    block [i] from its own offset, reading from [image] (default: the
+    scheme's own ROM).  A block offset past the end of a truncated image
+    is an [Error] too. *)
+val decode_block_checked :
+  ?image:string -> t -> int -> (Tepic.Op.t list, decode_error) result
 
 (** [protect p t] — re-frame every block of [t] as
     [length | payload | guard] with a CRC-[p] guard word, byte-aligned like
@@ -155,11 +150,11 @@ val transcode_block_checked_at :
     [t] is already protected. *)
 val protect : protection -> t -> t
 
-(** [verify t program] — decode every block once through [decode_payload],
-    compare with the original ops, and check that the decoder consumed
-    exactly the bits the block frame holds (over/under-consumption can
-    silently mis-decode even when the ops happen to match).  Raises
-    [Failure] with a diagnostic on the first mismatch. *)
+(** [verify t program] — decode every block through
+    {!decode_block_checked}, so the consumed-bits accounting and, on a
+    protected scheme, the length field and guard word are checked too, and
+    compare with the original ops.  Raises [Failure] with a diagnostic on
+    the first error or mismatch. *)
 val verify : t -> Tepic.Program.t -> unit
 
 (** [build_blocks program encode_block] — shared image builder: runs

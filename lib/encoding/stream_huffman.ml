@@ -124,27 +124,9 @@ let build ?(config = classic) program =
       program.Tepic.Program.blocks
   in
   let book s = match books.(s) with Some b -> b | None -> assert false in
-  let decode_payload r i =
-    List.init counts.(i) (fun _ ->
-        let sym0 = Huffman.Codebook.read (book 0) r in
-        let v0, w0 = unpack sym0 in
-        let kind = Tepic.Field_stream.kind_of_stream0 config ~value:v0 ~width:w0 in
-        let widths = Tepic.Field_stream.widths config kind in
-        let values = Array.make ns 0 in
-        values.(0) <- v0;
-        for s = 1 to ns - 1 do
-          if widths.(s) > 0 then begin
-            let v, w = unpack (Huffman.Codebook.read (book s) r) in
-            if w <> widths.(s) then
-              failwith "Stream_huffman: decoded symbol width mismatch";
-            values.(s) <- v
-          end
-        done;
-        Tepic.Field_stream.op_of_symbols config kind values)
-  in
-  (* The transcoder's plan per OPT|OPCODE point, through Encode's point
-     table: for the op's format, the symbol width each stream must deliver
-     and where each stream's fields land in the baseline word. *)
+  (* The decode plan per OPT|OPCODE point, through Encode's point table:
+     for the op's format, the symbol width each stream must deliver and
+     where each stream's fields land in the baseline word. *)
   let plans =
     Array.init 128 (fun p ->
         Option.map
@@ -157,12 +139,10 @@ let build ?(config = classic) program =
   in
   let op_bits = Tepic.Format_spec.op_bits
   and prefix_bits = Tepic.Format_spec.prefix_bits in
-  (* Every check of decode_payload, in its order and with its message:
-     Field_stream.kind_of_stream0's on the stream-0 symbol, then the width
-     check per stream.  Op.of_fields re-derives the opcode from the
-     assembled word, which cannot fail here: every stream-0 codebook
-     symbol is a real op's, so its width is its format's and the word's
-     OPT|OPCODE point is the one the plan was picked by. *)
+  (* Field_stream.kind_of_stream0's checks on the stream-0 symbol, with
+     its messages, then the width check per stream.  The assembled word's
+     OPT|OPCODE point is the one the plan was picked by: every stream-0
+     codebook symbol is a real op's, so its width is its format's. *)
   let transcode_payload r w i =
     for _ = 1 to counts.(i) do
       let sym0 = Huffman.Codebook.read (book 0) r in
@@ -240,6 +220,5 @@ let build ?(config = classic) program =
            | None -> ())
          books;
        List.rev !srcs);
-    decode_payload;
     transcode_payload;
   }

@@ -238,60 +238,7 @@ let encode_op spec w (op : Tepic.Op.t) =
       end)
     (Tepic.Op.fields op)
 
-let decode_op spec r =
-  let tail = Bits.Reader.read_bits r ~width:1 = 1 in
-  let sp = if spec.spec_bit then Bits.Reader.read_bits r ~width:1 = 1 else false in
-  let ty = Tepic.Opcode.optype_of_code (Bits.Reader.read_bits r ~width:2) in
-  let omap = List.assoc ty spec.opcode_maps in
-  let code = map_old omap (Bits.Reader.read_bits r ~width:spec.opcode_bits) in
-  let opcode =
-    match Tepic.Opcode.of_code ty code with
-    | Some oc -> oc
-    | None -> invalid_arg "Tailored.decode_op: bad opcode"
-  in
-  let kind = Tepic.Opcode.kind opcode in
-  let tbl = Hashtbl.create 17 in
-  Hashtbl.replace tbl "T" (if tail then 1 else 0);
-  Hashtbl.replace tbl "S" (if sp then 1 else 0);
-  Hashtbl.replace tbl "OPT" (Tepic.Opcode.optype_code ty);
-  Hashtbl.replace tbl "OPCODE" code;
-  (* Pass 1: pull every field's raw bits (widths depend only on the
-     format).  A hardware decoder sees all bits at once; sequentially we
-     must buffer them because a field's register file can depend on a
-     later field (the store format puts SRC2 before TCS). *)
-  let raws =
-    List.filter_map
-      (fun fd ->
-        let name = fd.Tepic.Format_spec.fname in
-        if List.mem name [ "T"; "S"; "OPT"; "OPCODE" ] then None
-        else if is_reserved name then Some (name, 0)
-        else begin
-          let width = field_width spec kind fd in
-          Some (name, if width > 0 then Bits.Reader.read_bits r ~width else 0)
-        end)
-      (Tepic.Format_spec.layout kind)
-  in
-  (* Resolve TCS first: it selects register files. *)
-  let tcs =
-    match List.assoc_opt "TCS" raws with
-    | Some raw -> map_old (field_map spec "TCS") raw
-    | None -> 0
-  in
-  List.iter
-    (fun (name, raw) ->
-      let v =
-        if is_reserved name then 0
-        else
-          match reg_class_of_field opcode ~tcs name with
-          | Some c -> map_old (reg_map spec c) raw
-          | None ->
-              if is_raw name then raw else map_old (field_map spec name) raw
-      in
-      Hashtbl.replace tbl name v)
-    raws;
-  Tepic.Op.of_fields kind (Hashtbl.find tbl)
-
-(* The transcoder: [decode_op] straight to the 40-bit baseline word.  Per
+(* The decoder: each tailored op straight to its 40-bit baseline word.  Per
    OPT|OPCODE point, a plan of the op's non-prefix, non-reserved fields in
    layout order — tailored width, position in the baseline word, and how
    the value maps back.  Reserved fields stay zero in the word. *)
@@ -338,9 +285,11 @@ let op_plan spec (opcode : Tepic.Opcode.t) =
     (Tepic.Format_spec.layout kind);
   { fields = Array.of_list (List.rev !fields); tcs_slot = !tcs_slot }
 
-(* [transcode_op] reads and raises exactly like [decode_op]: the header,
-   then every field's raw bits (into [buf], one slot per plan field), then
-   TCS, then each field's map in layout order. *)
+(* [decode_op] reads the header, then every field's raw bits (into [buf],
+   one slot per plan field), then maps TCS, then each field in layout
+   order.  A hardware decoder sees all bits at once; sequentially the raw
+   bits are buffered because a field's register file can depend on a
+   later field (the store format puts SRC2 before TCS). *)
 let transcoder spec =
   let omaps =
     Array.init 4 (fun ty ->
@@ -363,7 +312,7 @@ let transcoder spec =
         match p with Some p -> max a (Array.length p.fields) | None -> a)
       0 plans
   in
-  let transcode_op r w buf =
+  let decode_op r w buf =
     let tail = Bits.Reader.read_bits r ~width:1 in
     let sp = if spec.spec_bit then Bits.Reader.read_bits r ~width:1 else 0 in
     let ty = Bits.Reader.read_bits r ~width:2 in
@@ -400,7 +349,7 @@ let transcoder spec =
   fun counts r w i ->
     let buf = Array.make max_fields 0 in
     for _ = 1 to counts.(i) do
-      transcode_op r w buf
+      decode_op r w buf
     done
 
 let build_with_spec program =
@@ -412,9 +361,6 @@ let build_with_spec program =
     Array.map
       (fun b -> Tepic.Program.block_num_ops b)
       program.Tepic.Program.blocks
-  in
-  let decode_payload r i =
-    List.init counts.(i) (fun _ -> decode_op spec r)
   in
   let transcode_payload = transcoder spec counts in
   (* The tailored "table" cost is the PLA's value maps: every dense map
@@ -448,7 +394,6 @@ let build_with_spec program =
                max_bits = List.fold_left max 0 widths;
              };
          ]);
-      decode_payload;
       transcode_payload;
     },
     spec )

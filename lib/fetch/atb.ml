@@ -57,7 +57,9 @@ let lookup t block =
     if n > 0 && n >= t.capacity then ignore (Lru.pop t.resident);
     Lru.touch t.resident block;
     t.counter.(block) <- 1;
-    t.last_target.(block) <- block + 1;
+    (* The fall-through, clamped to the layout as in [predict]: gshare can
+       predict taken for an entry no update has trained yet. *)
+    t.last_target.(block) <- Int.min (block + 1) (t.num_blocks - 1);
     false
   end
 

@@ -429,50 +429,6 @@ let eval_case case =
           ~start:sc.Scheme.block_offset_bits.(i)
           ~op_count:(List.length ref_ops)
   in
-  (* The transcoder is the production decoder's twin on the parallel
-     decode path: on the same bits it must produce the baseline image of
-     the production ops, or the same typed error.  A block whose offset
-     the fault cut off has no bits to transcode (production reports the
-     seek). *)
-  let transcode_finding i prod =
-    let r = Bits.Reader.of_string image in
-    match Bits.Reader.seek r sc.Scheme.block_offset_bits.(i) with
-    | exception Invalid_argument _ -> None
-    | () -> (
-        let w = Bits.Writer.create () in
-        match Scheme.transcode_block_checked_at sc r w i with
-        | exception e ->
-            Some (Decoder_exception { block = i; exn = Printexc.to_string e })
-        | t ->
-            let show = function
-              | Ok _ -> "ok"
-              | Error e -> Scheme.decode_error_to_string e
-            in
-            let agree =
-              match (prod, t) with
-              | Ok ops, Ok () ->
-                  String.equal (Tepic.Encode.encode_ops ops)
-                    (Bits.Writer.contents w)
-              | Error a, Error b -> a = b
-              | _ -> false
-            in
-            if agree then None
-            else
-              Some
-                (Oracle_disagreement
-                   {
-                     oracle_a = "production";
-                     oracle_b = "transcode";
-                     block = i;
-                     detail =
-                       (match (prod, t) with
-                       | Ok _, Ok () ->
-                           "same bits transcode to a different baseline image"
-                       | _ ->
-                           Printf.sprintf "production %s, transcode %s"
-                             (show prod) (show t));
-                   }))
-  in
   let check_block i =
     if !finding = None then begin
       let ref_ops = Tepic.Program.block_ops (Tepic.Program.block program i) in
@@ -483,9 +439,7 @@ let eval_case case =
       with
       | `Exn exn -> finding := Some (Decoder_exception { block = i; exn })
       | `R prod ->
-          finding := transcode_finding i prod;
-          if !finding <> None then ()
-          else if not faulted then begin
+          if not faulted then begin
             (match prod with
             | Ok ops when ops_equal ops ref_ops -> ()
             | Ok _ ->

@@ -7,8 +7,10 @@
     decoder as a differential oracle against the others and against
     [Scheme.decode_block_checked]'s error contract:
 
-    - the production path ([decode_block_checked]: two-level LUT Huffman +
-      frame checks), which must be {e total} — any exception is a finding;
+    - the production path ([decode_block_checked]: the scheme's one
+      decoder, [transcode_payload] with two-level LUT Huffman, behind the
+      frame checks), which must be {e total} — any exception is a
+      finding;
     - the independent {!Cccs_analysis.Abstract_decoder} (decodes from the
       published ROM artifacts only);
     - at the codeword level, the table-driven [Canonical.read_opt], the

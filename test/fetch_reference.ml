@@ -4,9 +4,11 @@
    and its [fetched_lines] list, the bus reading one bit per loop turn,
    and [Sim.run_iter] building a missing-line list per visit, with the
    ideal model beside them.  Kept verbatim (only [Bits.flips_between] is
-   re-pointed at the bit-loop popcount kept below, and the result and
-   fault-plan types are re-exported from [Fetch.Sim]) as the reference
-   oracle the fetch suite compares the production simulator against. *)
+   re-pointed at the bit-loop popcount kept below, the result and
+   fault-plan types are re-exported from [Fetch.Sim], and a new ATB entry
+   installs the fall-through clamped to the layout, as the production ATB
+   does) as the reference oracle the fetch suite compares the production
+   simulator against. *)
 
 module Config = Fetch.Config
 
@@ -95,7 +97,12 @@ module Atb = struct
         t.misses <- t.misses + 1;
         if Hashtbl.length t.table >= t.capacity then evict_lru t;
         Hashtbl.replace t.table block
-          { block; counter = 1; last_target = block + 1; age = t.clock };
+          {
+            block;
+            counter = 1;
+            last_target = min (block + 1) (t.num_blocks - 1);
+            age = t.clock;
+          };
         false
 
   let gshare_index g block = (block lxor g.history) land ((1 lsl g.history_bits) - 1)

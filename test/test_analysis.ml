@@ -232,7 +232,6 @@ let dummy_scheme ~image ~offsets ~bits =
         transistors = 0 };
     books = [];
     model = [];
-    decode_payload = (fun _ _ -> []);
     transcode_payload = (fun _ _ _ -> ());
   }
 

@@ -224,27 +224,6 @@ let prop_peek_advance_vs_read =
       Bits.Reader.advance r avail;
       unmoved && peeked = expect && Bits.Reader.pos r = p + avail)
 
-(* The blit fast path of add_string agrees with the per-byte add_bits
-   reference at every alignment (0-7 leading bits). *)
-let prop_add_string_any_alignment =
-  let gen =
-    QCheck.Gen.(
-      pair (int_range 0 7) (list_size (int_range 0 64) (int_range 0 255)))
-  in
-  QCheck.Test.make ~name:"add_string = per-byte add_bits at any alignment"
-    ~count:300 (QCheck.make gen) (fun (lead, bytes) ->
-      let arr = Array.of_list bytes in
-      let s = String.init (Array.length arr) (fun i -> Char.chr arr.(i)) in
-      let w1 = Bits.Writer.create () and w2 = Bits.Writer.create () in
-      for k = 1 to lead do
-        Bits.Writer.add_bit w1 (k land 1 = 1);
-        Bits.Writer.add_bit w2 (k land 1 = 1)
-      done;
-      Bits.Writer.add_string w1 s;
-      String.iter (fun c -> Bits.Writer.add_bits w2 ~width:8 (Char.code c)) s;
-      Bits.Writer.length w1 = Bits.Writer.length w2
-      && Bits.Writer.contents w1 = Bits.Writer.contents w2)
-
 (* The 256-entry CRC byte tables are derived from the bitwise register;
    this keeps them honest: of_string and of_reader (started at any bit
    offset, covering the align/table/tail path split) must equal a pure
@@ -384,7 +363,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_align_byte;
     QCheck_alcotest.to_alcotest prop_seek_remaining;
     QCheck_alcotest.to_alcotest prop_peek_advance_vs_read;
-    QCheck_alcotest.to_alcotest prop_add_string_any_alignment;
     QCheck_alcotest.to_alcotest prop_crc_table_vs_bitwise;
     QCheck_alcotest.to_alcotest prop_bits_needed_sufficient;
     QCheck_alcotest.to_alcotest prop_popcount_vs_loop;

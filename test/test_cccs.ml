@@ -19,7 +19,7 @@ let () =
       ("faults", Test_faults.suite);
       ("parallel", Test_parallel.suite);
       ("decode", Test_decode.suite);
-      ("transcode", Test_transcode.suite);
+      ("decode_pin", Test_decode_pin.suite);
       ("obs", Test_obs.suite);
       ("obs_ledger", Test_obs_ledger.suite);
       ("trace_stream", Test_trace_stream.suite);

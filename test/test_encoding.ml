@@ -260,6 +260,43 @@ let prop_schemes_roundtrip_random_programs =
             false)
         all_builders)
 
+(* TCS=1 moves a load's destination and a store's data register to the
+   FPR file; the suite workloads never set it.  The program mixes TCS=1
+   ops with TCS=0 ones, and the FPRs (20, 21) are numbered apart from the
+   GPRs (1-3): tailored densely renumbers each file, so a decoder that
+   ignored TCS would read FPR 20 (dense index 0) back as GPR 1. *)
+let tcs_program =
+  let open Tepic in
+  let block id mops = { Program.id; mops = List.map Mop.make mops } in
+  Program.make ~name:"tcs"
+    [
+      block 0
+        [
+          [ Op.ldi ~imm:64 ~dest:1 (); Op.ldi ~imm:96 ~dest:2 () ];
+          [
+            Op.load ~tcs:0 ~opcode:Opcode.LW ~src1:1 ~dest:3 ();
+            Op.load ~tcs:1 ~opcode:Opcode.LW ~src1:2 ~dest:20 ();
+          ];
+        ];
+      block 1
+        [
+          [
+            Op.store ~tcs:1 ~opcode:Opcode.SW ~src1:1 ~src2:21 ();
+            Op.store ~tcs:0 ~opcode:Opcode.SW ~src1:2 ~src2:3 ();
+          ];
+          [ Op.load ~tcs:1 ~opcode:Opcode.LW ~src1:3 ~dest:21 () ];
+        ];
+    ]
+
+let test_tcs_roundtrip () =
+  List.iter
+    (fun (_, build) ->
+      let s = build tcs_program in
+      List.iter
+        (fun p -> Encoding.Scheme.verify (Encoding.Scheme.protect p s) tcs_program)
+        Encoding.Scheme.[ Unprotected; Crc8 ])
+    all_builders
+
 let suite =
   [
     Alcotest.test_case "roundtrip, every scheme" `Quick test_roundtrip_all_schemes;
@@ -283,4 +320,6 @@ let suite =
     Alcotest.test_case "Verilog: huffman dictionary" `Quick
       test_decoder_gen_huffman;
     QCheck_alcotest.to_alcotest prop_schemes_roundtrip_random_programs;
+    Alcotest.test_case "TCS=1 memory ops, every scheme" `Quick
+      test_tcs_roundtrip;
   ]

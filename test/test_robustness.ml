@@ -115,11 +115,16 @@ let test_scheme_verify_catches_mutation () =
   let lying =
     {
       s with
-      Encoding.Scheme.decode_payload =
-        (fun r i ->
-          match s.Encoding.Scheme.decode_payload r i with
-          | first :: rest -> Tepic.Op.with_tail (not first.Tepic.Op.tail) first :: rest
-          | [] -> []);
+      Encoding.Scheme.transcode_payload =
+        (fun r w i ->
+          (* The right words, with the first op's tail bit flipped. *)
+          let scratch = Bits.Writer.create () in
+          s.Encoding.Scheme.transcode_payload r scratch i;
+          let words = Bits.Reader.of_string (Bits.Writer.contents scratch) in
+          for j = 1 to Bits.Writer.length scratch / 40 do
+            let v = Bits.Reader.read_bits words ~width:40 in
+            Bits.Writer.add_bits w ~width:40 (if j = 1 then v lxor (1 lsl 39) else v)
+          done);
     }
   in
   let raised =
