@@ -1,9 +1,9 @@
 (* Whole-image decode (Cccs.Par_decode.decode): one walk over the blocks
    of an image, each transcoded straight to baseline words.  On a clean
    image it must give the baseline image for every scheme and framing;
-   on a corrupted one, exactly the outcome of the per-block Op.t reference
-   walk — the same output digest, or the same typed error with the same
-   block, bit and reason. *)
+   on a corrupted one, exactly the outcome of a reference walk that
+   decodes every block from its own ATT offset — the same output digest,
+   or the same typed error with the same block, bit and reason. *)
 
 module Scheme = Encoding.Scheme
 
