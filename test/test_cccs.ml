@@ -20,6 +20,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("decode", Test_decode.suite);
       ("decode_pin", Test_decode_pin.suite);
+      ("scheme_pin", Test_scheme_pin.suite);
       ("obs", Test_obs.suite);
       ("obs_ledger", Test_obs_ledger.suite);
       ("trace_stream", Test_trace_stream.suite);
