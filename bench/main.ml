@@ -600,6 +600,73 @@ let perf_fetch_sim ~cores =
       end)
     (Cccs.Experiments.fetch_models r)
 
+(* ------------------------------------------------------------------ *)
+(* perf/scheme-build: every scheme builder over the 13 suite programs, *)
+(* one after another on one core, timed on the monotonic clock; the    *)
+(* stream row builds all six configurations.  Each row is the best of  *)
+(* three passes, and every pass must build the first pass's images.    *)
+(* ------------------------------------------------------------------ *)
+
+let mono_s () = Monotonic_clock.get () /. 1e9
+
+let perf_scheme_build ~cores =
+  let progs =
+    List.map
+      (fun e ->
+        (Cccs.Workload_run.load e).Cccs.Workload_run.compiled
+          .Cccs.Pipeline.program)
+      Workloads.Suite.all
+  in
+  let ops = List.fold_left (fun a p -> a + Tepic.Program.num_ops p) 0 progs in
+  let image build p = [ (build p).Encoding.Scheme.image ] in
+  let builders =
+    [
+      ("base", image Encoding.Baseline.build);
+      ("byte", image Encoding.Byte_huffman.build);
+      ( "stream",
+        fun p ->
+          List.concat_map
+            (fun (_, config) -> image (Encoding.Stream_huffman.build ~config) p)
+            Encoding.Stream_huffman.configs );
+      ("full", image Encoding.Full_huffman.build);
+      ("tailored", image Encoding.Tailored.build);
+      ("dict", image Encoding.Dictionary.build);
+    ]
+  in
+  List.map
+    (fun (name, build) ->
+      let pass () =
+        let t0 = mono_s () in
+        let images = List.concat_map build progs in
+        (images, mono_s () -. t0)
+      in
+      let first, s0 = pass () in
+      let samples =
+        s0
+        :: List.init 2 (fun _ ->
+               let images, s = pass () in
+               if images <> first then
+                 failwith
+                   ("bench perf: scheme-build/" ^ name
+                  ^ " built different images on a later pass");
+               s)
+      in
+      let seconds = List.fold_left Float.min infinity samples in
+      let ns_per_op = seconds *. 1e9 /. float_of_int ops in
+      Printf.printf "perf/scheme-build/%-8s  %7.3f s  %7.1f ns/op\n%!" name
+        seconds ns_per_op;
+      Cccs_obs.Json.(
+        Obj
+          [
+            ("name", Str ("perf/scheme-build/" ^ name));
+            ("seconds", Num seconds);
+            ("ns_per_op", Num ns_per_op);
+            ("cores", int cores);
+            ("ops", int ops);
+            ("samples", Arr (List.map (fun x -> Num x) samples));
+          ]))
+    builders
+
 (* The jobs=4 sweep may not cost more than this over jobs=1. *)
 let never_lose_factor = 1.15
 
@@ -659,7 +726,7 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~image_rows ~fetch_rows ~s1 ~s4 ~cores =
+let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~s1 ~s4 ~cores =
   let open Cccs_obs.Json in
   let decode_json d =
     Obj
@@ -677,6 +744,7 @@ let write_perf decode_rows ~image_rows ~fetch_rows ~s1 ~s4 ~cores =
     List.map decode_json decode_rows
     @ image_rows
     @ fetch_rows
+    @ build_rows
     @ [
         Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
         Obj
@@ -690,14 +758,21 @@ let write_perf decode_rows ~image_rows ~fetch_rows ~s1 ~s4 ~cores =
   in
   write_perf_rows
     ~prefixes:
-      [ "perf/decode/"; "perf/image-decode/"; "perf/fetch-sim/"; "perf/sweep/" ]
+      [
+        "perf/decode/";
+        "perf/image-decode/";
+        "perf/fetch-sim/";
+        "perf/scheme-build/";
+        "perf/sweep/";
+      ]
     rows;
   ledger_append ~kind:"bench_perf"
     ~schemes:(List.map (fun d -> d.scheme) decode_rows)
     rows
 
 let run_perf () =
-  Printf.printf "CCCS perf — decode, fetch replay and sweep wall-clock\n%s\n"
+  Printf.printf
+    "CCCS perf — decode, fetch replay, scheme build and sweep wall-clock\n%s\n"
     (String.make 68 '-');
   let decode_rows = bspan "decode" perf_decode in
   List.iter
@@ -713,6 +788,7 @@ let run_perf () =
   let cores = Cccs.Parallel.cores () in
   let image_rows = bspan "image-decode" (fun () -> perf_image_decode ~cores) in
   let fetch_rows = bspan "fetch-sim" (fun () -> perf_fetch_sim ~cores) in
+  let build_rows = bspan "scheme-build" (fun () -> perf_scheme_build ~cores) in
   let rows1, s1 = bspan "sweep_jobs1" (fun () -> sweep_once ~jobs:1) in
   let rows4, s4 = bspan "sweep_jobs4" (fun () -> sweep_once ~jobs:4) in
   if rows1 <> rows4 then
@@ -732,7 +808,7 @@ let run_perf () =
          "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
           %.2fx never-lose bound (%d cores)"
          s4 s1 never_lose_factor cores);
-  write_perf decode_rows ~image_rows ~fetch_rows ~s1 ~s4 ~cores
+  write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~s1 ~s4 ~cores
 
 (* ------------------------------------------------------------------ *)
 (* fuzz group: campaign throughput and bounded-memory trace streaming. *)

@@ -1,13 +1,10 @@
 let build program =
+  let words = Tepic.Program.words program in
   let image, offsets, sizes =
-    Scheme.build_blocks program (fun w ops ->
-        List.iter (Tepic.Encode.encode w) ops)
+    Scheme.build_blocks words (fun w ws ->
+        Array.iter (Bits.Writer.add_bits w ~width:Tepic.Format_spec.op_bits) ws)
   in
-  let counts =
-    Array.map
-      (fun b -> Tepic.Program.block_num_ops b)
-      program.Tepic.Program.blocks
-  in
+  let counts = Array.map Array.length words in
   (* One peek per op.  The 9-bit prefix is consumed before [normalize]
      checks the opcode point, so an undefined point raises with the cursor
      past the prefix, as Encode.decode does.  An op cut short by the end

@@ -1,29 +1,26 @@
 let max_code_len = 12
 
+(* [f] on each of the word's five bytes, most significant first: the byte
+   order of its baseline image. *)
+let iter_bytes f word =
+  for k = Tepic.Format_spec.op_bytes - 1 downto 0 do
+    f ((word lsr (8 * k)) land 0xff)
+  done
+
 let build program =
+  let words = Tepic.Program.words program in
   (* Histogram over the bytes of every op's baseline image, block by
      block (annotation-free, code segment only). *)
   let freq = Huffman.Freq.create () in
-  Tepic.Program.iter_ops
-    (fun op ->
-      String.iter
-        (fun c -> Huffman.Freq.add freq (Char.code c))
-        (Tepic.Encode.encode_ops [ op ]))
-    program;
+  Array.iter (Array.iter (iter_bytes (Huffman.Freq.add freq))) words;
   let book =
     Huffman.Codebook.make ~max_len:max_code_len ~symbol_bits:(fun _ -> 8) freq
   in
   let image, offsets, sizes =
-    Scheme.build_blocks program (fun w ops ->
-        String.iter
-          (fun c -> Huffman.Codebook.write book w (Char.code c))
-          (Tepic.Encode.encode_ops ops))
+    Scheme.build_blocks words (fun w ws ->
+        Array.iter (iter_bytes (Huffman.Codebook.write book w)) ws)
   in
-  let counts =
-    Array.map
-      (fun b -> Tepic.Program.block_num_ops b)
-      program.Tepic.Program.blocks
-  in
+  let counts = Array.map Array.length words in
   (* Every symbol of the block is read before any op is checked, so a bad
      op raises with the cursor past the block. *)
   let transcode_payload r w i =

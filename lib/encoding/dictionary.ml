@@ -3,28 +3,44 @@ let max_entries = 256
 
 let op_bits = Tepic.Format_spec.op_bits
 
+(* Op sequences as keys: windows of a block's baseline words.  A word's
+   low bits are its PRED field, mostly zero, so the hash mixes every word
+   in and folds the high bits of the sum down before the table masks its
+   low bits. *)
+module Seq_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash a =
+    let h = ref (Array.length a) in
+    Array.iter (fun v -> h := (!h * 0x100000001b3) + v) a;
+    let h = !h lxor (!h lsr 29) in
+    let h = h * 0x2545f4914f6cdd1d in
+    (h lxor (h lsr 32)) land max_int
+end)
+
 (* Candidate sequences: every 1..max_seq_len run inside a block, counted by
    the tuple of 40-bit images. *)
-let collect_candidates program =
-  let counts : (int list, int ref) Hashtbl.t = Hashtbl.create 4096 in
-  let note seq =
-    match Hashtbl.find_opt counts seq with
-    | Some r -> incr r
-    | None -> Hashtbl.add counts seq (ref 1)
-  in
+let collect_candidates words =
+  let counts = Seq_table.create 4096 in
   Array.iter
-    (fun b ->
-      let ops =
-        Array.of_list
-          (List.map Tepic.Encode.to_int (Tepic.Program.block_ops b))
-      in
+    (fun ops ->
       let n = Array.length ops in
       for i = 0 to n - 1 do
         for len = 1 to min max_seq_len (n - i) do
-          note (Array.to_list (Array.sub ops i len))
+          let seq = Array.sub ops i len in
+          match Seq_table.find_opt counts seq with
+          | Some r -> incr r
+          | None -> Seq_table.add counts seq (ref 1)
         done
       done)
-    program.Tepic.Program.blocks;
+    words;
   counts
 
 (* Pick entries greedily by estimated saving.  A literal op costs 41 bits
@@ -33,13 +49,14 @@ let collect_candidates program =
 let select_entries counts =
   let idx_bits = Bits.bits_needed max_entries in
   let scored =
-    Hashtbl.fold
+    Seq_table.fold
       (fun seq r acc ->
-        let len = List.length seq in
+        let len = Array.length seq in
         let saving =
           (!r * ((len * (op_bits + 1)) - (1 + idx_bits))) - (len * op_bits)
         in
-        if !r >= 2 && saving > 0 then (saving, seq) :: acc else acc)
+        if !r >= 2 && saving > 0 then (saving, Array.to_list seq) :: acc
+        else acc)
       counts []
   in
   let sorted = List.sort (fun (a, s1) (b, s2) ->
@@ -50,47 +67,42 @@ let select_entries counts =
   in
   Array.of_list (take max_entries sorted)
 
-let entries_of_program program = select_entries (collect_candidates program)
+let entries_of_words words = select_entries (collect_candidates words)
+let entries_of_program program = entries_of_words (Tepic.Program.words program)
 let index_bits ~nentries = max 1 (Bits.bits_needed (max 2 nentries))
 
 let build program =
-  let entries = entries_of_program program in
+  let words = Tepic.Program.words program in
+  let entries = entries_of_words words in
   let nentries = Array.length entries in
   let idx_bits = index_bits ~nentries in
-  let index : (int list, int) Hashtbl.t = Hashtbl.create 512 in
-  Array.iteri (fun i seq -> Hashtbl.replace index seq i) entries;
+  let index = Seq_table.create 512 in
+  Array.iteri (fun i seq -> Seq_table.replace index (Array.of_list seq) i) entries;
   let image, offsets, sizes =
-    Scheme.build_blocks program (fun w ops ->
-        let arr = Array.of_list (List.map Tepic.Encode.to_int ops) in
+    Scheme.build_blocks words (fun w arr ->
         let n = Array.length arr in
         let i = ref 0 in
         while !i < n do
           (* Longest dictionary match starting here. *)
-          let matched = ref 0 in
-          for len = max_seq_len downto 1 do
-            if !matched = 0 && !i + len <= n then begin
-              let seq = Array.to_list (Array.sub arr !i len) in
-              if Hashtbl.mem index seq then matched := len
-            end
-          done;
-          if !matched > 0 then begin
-            let seq = Array.to_list (Array.sub arr !i !matched) in
-            Bits.Writer.add_bit w true;
-            Bits.Writer.add_bits w ~width:idx_bits (Hashtbl.find index seq);
-            i := !i + !matched
-          end
-          else begin
-            Bits.Writer.add_bit w false;
-            Bits.Writer.add_bits w ~width:op_bits arr.(!i);
-            incr i
-          end
+          let rec longest len =
+            if len = 0 then None
+            else
+              match Seq_table.find_opt index (Array.sub arr !i len) with
+              | Some idx -> Some (idx, len)
+              | None -> longest (len - 1)
+          in
+          match longest (min max_seq_len (n - !i)) with
+          | Some (idx, len) ->
+              Bits.Writer.add_bit w true;
+              Bits.Writer.add_bits w ~width:idx_bits idx;
+              i := !i + len
+          | None ->
+              Bits.Writer.add_bit w false;
+              Bits.Writer.add_bits w ~width:op_bits arr.(!i);
+              incr i
         done)
   in
-  let op_counts =
-    Array.map
-      (fun b -> Tepic.Program.block_num_ops b)
-      program.Tepic.Program.blocks
-  in
+  let op_counts = Array.map Array.length words in
   (* The entries, as baseline words ready to append. *)
   let entry_words =
     Array.map

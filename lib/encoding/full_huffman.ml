@@ -1,26 +1,19 @@
 let max_code_len = 20
 
 let build program =
+  let words = Tepic.Program.words program in
   let freq = Huffman.Freq.create () in
-  Tepic.Program.iter_ops
-    (fun op -> Huffman.Freq.add freq (Tepic.Encode.to_int op))
-    program;
+  Array.iter (Array.iter (Huffman.Freq.add freq)) words;
   let book =
     Huffman.Codebook.make ~max_len:max_code_len
       ~symbol_bits:(fun _ -> Tepic.Format_spec.op_bits)
       freq
   in
   let image, offsets, sizes =
-    Scheme.build_blocks program (fun w ops ->
-        List.iter
-          (fun op -> Huffman.Codebook.write book w (Tepic.Encode.to_int op))
-          ops)
+    Scheme.build_blocks words (fun w ws ->
+        Array.iter (Huffman.Codebook.write book w) ws)
   in
-  let counts =
-    Array.map
-      (fun b -> Tepic.Program.block_num_ops b)
-      program.Tepic.Program.blocks
-  in
+  let counts = Array.map Array.length words in
   let transcode_payload r w i =
     for _ = 1 to counts.(i) do
       Bits.Writer.add_bits w ~width:Tepic.Format_spec.op_bits

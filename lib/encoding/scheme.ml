@@ -194,15 +194,14 @@ let verify t program =
           (List.combine original decoded)
   done
 
-let build_blocks program encode_block =
-  let n = Tepic.Program.num_blocks program in
+let build_blocks words encode_block =
+  let n = Array.length words in
   let w = Bits.Writer.create ~initial_bytes:4096 () in
   let offsets = Array.make n 0 in
   let sizes = Array.make n 0 in
   for i = 0 to n - 1 do
     offsets.(i) <- Bits.Writer.length w;
-    let ops = Tepic.Program.block_ops (Tepic.Program.block program i) in
-    encode_block w ops;
+    encode_block w words.(i);
     sizes.(i) <- Bits.Writer.length w - offsets.(i);
     ignore (Bits.Writer.align_byte w)
   done;
@@ -227,13 +226,15 @@ let protect p t =
         let plen = t.block_bits.(i) in
         Bits.Writer.add_bits w ~width:len_bits plen;
         Bits.Reader.seek src t.block_offset_bits.(i);
-        let crc = ref 0 in
-        for _ = 1 to plen do
-          let b = Bits.Reader.read_bit src in
-          crc := Bits.Crc.update ~width:gbits ~poly !crc b;
-          Bits.Writer.add_bit w b
+        let crc = Bits.Crc.of_reader ~width:gbits ~poly src ~nbits:plen in
+        Bits.Reader.seek src t.block_offset_bits.(i);
+        let left = ref plen in
+        while !left > 0 do
+          let k = Int.min 56 !left in
+          Bits.Writer.add_bits w ~width:k (Bits.Reader.read_bits src ~width:k);
+          left := !left - k
         done;
-        Bits.Writer.add_bits w ~width:gbits !crc;
+        Bits.Writer.add_bits w ~width:gbits crc;
         sizes.(i) <- Bits.Writer.length w - offsets.(i);
         ignore (Bits.Writer.align_byte w)
       done;

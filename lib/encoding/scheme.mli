@@ -157,11 +157,13 @@ val protect : protection -> t -> t
     the first error or mismatch. *)
 val verify : t -> Tepic.Program.t -> unit
 
-(** [build_blocks program encode_block] — shared image builder: runs
-    [encode_block writer ops] per block, byte-aligns each block start, and
-    assembles image/offsets/sizes.  [block_bits] excludes the alignment
-    padding (it is accounted to the image, as in the paper's totals). *)
+(** [build_blocks words encode_block] — shared image builder over a
+    program's baseline words ({!Tepic.Program.words}): runs
+    [encode_block writer words.(i)] per block, byte-aligns each block
+    start, and assembles image/offsets/sizes.  [block_bits] excludes the
+    alignment padding (it is accounted to the image, as in the paper's
+    totals). *)
 val build_blocks :
-  Tepic.Program.t ->
-  (Bits.Writer.t -> Tepic.Op.t list -> unit) ->
+  int array array ->
+  (Bits.Writer.t -> int array -> unit) ->
   string * int array * int array

@@ -86,47 +86,10 @@ let () =
 let build ?(config = classic) program =
   Tepic.Field_stream.validate config;
   let ns = config.Tepic.Field_stream.nstreams in
-  let freqs = Array.init ns (fun _ -> Huffman.Freq.create ()) in
-  Tepic.Program.iter_ops
-    (fun op ->
-      Array.iteri
-        (fun s (value, width) ->
-          if width > 0 then Huffman.Freq.add freqs.(s) (pack ~value ~width))
-        (Tepic.Field_stream.symbols config op))
-    program;
-  let books =
-    Array.map
-      (fun freq ->
-        if Huffman.Freq.total freq = 0 then None
-        else
-          Some
-            (Huffman.Codebook.make ~max_len:max_code_len
-               ~symbol_bits:(fun sym -> snd (unpack sym))
-               freq))
-      freqs
-  in
-  let image, offsets, sizes =
-    Scheme.build_blocks program (fun w ops ->
-        List.iter
-          (fun op ->
-            Array.iteri
-              (fun s (value, width) ->
-                if width > 0 then
-                  match books.(s) with
-                  | Some book -> Huffman.Codebook.write book w (pack ~value ~width)
-                  | None -> assert false)
-              (Tepic.Field_stream.symbols config op))
-          ops)
-  in
-  let counts =
-    Array.map
-      (fun b -> Tepic.Program.block_num_ops b)
-      program.Tepic.Program.blocks
-  in
-  let book s = match books.(s) with Some b -> b | None -> assert false in
-  (* The decode plan per OPT|OPCODE point, through Encode's point table:
-     for the op's format, the symbol width each stream must deliver and
-     where each stream's fields land in the baseline word. *)
+  (* The plan per OPT|OPCODE point, through Encode's point table: for the
+     op's format, the symbol width of each stream and where each stream's
+     fields sit in the baseline word.  The encoder gathers each symbol out
+     of the word with the triples the decoder scatters it back with. *)
   let plans =
     Array.init 128 (fun p ->
         Option.map
@@ -139,6 +102,40 @@ let build ?(config = classic) program =
   in
   let op_bits = Tepic.Format_spec.op_bits
   and prefix_bits = Tepic.Format_spec.prefix_bits in
+  (* [f s sym] on each live stream's packed symbol of [word]. *)
+  let iter_symbols f word =
+    let plan = Option.get plans.((word lsr (op_bits - prefix_bits)) land 0x7f) in
+    for s = 0 to ns - 1 do
+      let width = plan.widths.(s) in
+      if width > 0 then
+        f s
+          (pack ~value:(Tepic.Field_stream.gather plan.scatter.(s) word) ~width)
+    done
+  in
+  let words = Tepic.Program.words program in
+  let freqs = Array.init ns (fun _ -> Huffman.Freq.create ()) in
+  Array.iter
+    (Array.iter (iter_symbols (fun s sym -> Huffman.Freq.add freqs.(s) sym)))
+    words;
+  let books =
+    Array.map
+      (fun freq ->
+        if Huffman.Freq.total freq = 0 then None
+        else
+          Some
+            (Huffman.Codebook.make ~max_len:max_code_len
+               ~symbol_bits:(fun sym -> snd (unpack sym))
+               freq))
+      freqs
+  in
+  let book s = match books.(s) with Some b -> b | None -> assert false in
+  let image, offsets, sizes =
+    Scheme.build_blocks words (fun w ws ->
+        Array.iter
+          (iter_symbols (fun s sym -> Huffman.Codebook.write (book s) w sym))
+          ws)
+  in
+  let counts = Array.map Array.length words in
   (* Field_stream.kind_of_stream0's checks on the stream-0 symbol, with
      its messages, then the width check per stream.  The assembled word's
      OPT|OPCODE point is the one the plan was picked by: every stream-0

@@ -209,46 +209,22 @@ let finalize_spec spec =
     widths = List.map (fun k -> (k, op_bits spec k)) Tepic.Format_spec.kinds;
   }
 
-let encode_op spec w (op : Tepic.Op.t) =
-  let opcode = Tepic.Op.opcode op in
-  let kind = Tepic.Opcode.kind opcode in
-  let ty = Tepic.Opcode.optype opcode in
-  Bits.Writer.add_bits w ~width:1 (if op.Tepic.Op.tail then 1 else 0);
-  if spec.spec_bit then
-    Bits.Writer.add_bits w ~width:1 (if op.Tepic.Op.spec then 1 else 0);
-  Bits.Writer.add_bits w ~width:2 (Tepic.Opcode.optype_code ty);
-  let omap = List.assoc ty spec.opcode_maps in
-  Bits.Writer.add_bits w ~width:spec.opcode_bits
-    (map_new omap (Tepic.Opcode.code opcode));
-  let tcs = try Tepic.Op.field_value op "TCS" with Not_found -> 0 in
-  List.iter
-    (fun (fd, v) ->
-      let name = fd.Tepic.Format_spec.fname in
-      if List.mem name [ "T"; "S"; "OPT"; "OPCODE" ] || is_reserved name then ()
-      else begin
-        let width = field_width spec kind fd in
-        let encoded =
-          match reg_class_of_field opcode ~tcs name with
-          | Some c -> map_new (reg_map spec c) v
-          | None -> if is_raw name then v else map_new (field_map spec name) v
-        in
-        if width > 0 then Bits.Writer.add_bits w ~width encoded
-        else if encoded <> 0 then
-          invalid_arg "Tailored.encode_op: nonzero value in zero-width field"
-      end)
-    (Tepic.Op.fields op)
-
-(* The decoder: each tailored op straight to its 40-bit baseline word.  Per
+(* The codec: each tailored op to and from its 40-bit baseline word.  Per
    OPT|OPCODE point, a plan of the op's non-prefix, non-reserved fields in
-   layout order — tailored width, position in the baseline word, and how
-   the value maps back.  Reserved fields stay zero in the word. *)
+   layout order — tailored width, position and mask in the baseline word,
+   and how the value maps.  Reserved fields stay zero in the word. *)
 type field_map_back =
   | Raw  (* passes through at reduced width *)
   | Mapped of dense_map  (* a field map, or the map of a fixed register class *)
   | By_tcs of { tcs1 : dense_map; other : dense_map }
       (* register file chosen by the op's TCS value *)
 
-type field_plan = { width : int; shift : int; back : field_map_back }
+type field_plan = {
+  width : int;
+  shift : int;
+  mask : int;  (* the field's baseline width, as a mask *)
+  back : field_map_back;
+}
 
 type op_plan = {
   fields : field_plan array;
@@ -280,31 +256,76 @@ let op_plan spec (opcode : Tepic.Opcode.t) =
               if is_raw name then Raw else Mapped (field_map spec name)
         in
         fields :=
-          { width = field_width spec kind fd; shift = !shift; back } :: !fields
+          {
+            width = field_width spec kind fd;
+            shift = !shift;
+            mask = (1 lsl fd.Tepic.Format_spec.width) - 1;
+            back;
+          }
+          :: !fields
       end)
     (Tepic.Format_spec.layout kind);
   { fields = Array.of_list (List.rev !fields); tcs_slot = !tcs_slot }
+
+(* The opcode map of each OPT code and the plan of each OPT|OPCODE point,
+   shared by the encoder and the transcoder. *)
+type plans = {
+  omaps : dense_map option array;
+  plans : op_plan option array;
+}
+
+let plans_of spec =
+  {
+    omaps =
+      Array.init 4 (fun ty ->
+          List.assoc_opt (Tepic.Opcode.optype_of_code ty) spec.opcode_maps);
+    plans =
+      Array.init 128 (fun p ->
+          match Tepic.Encode.point_kind p with
+          | None -> None
+          | Some _ ->
+              Option.map (op_plan spec)
+                (Tepic.Opcode.of_code
+                   (Tepic.Opcode.optype_of_code (p lsr 5))
+                   (p land 31)));
+  }
+
+(* The encoder runs the plan the other way: the header, then each field cut
+   out of the word with its baseline mask and mapped forward, a register
+   field's file following the word's TCS. *)
+let encode_word spec { omaps; plans } w word =
+  let ty = (word lsr 36) land 3 and code = (word lsr 31) land 31 in
+  let omap = match omaps.(ty) with Some m -> m | None -> raise Not_found in
+  match plans.((ty lsl 5) lor code) with
+  | None -> invalid_arg "Tailored: bad opcode"
+  | Some plan ->
+      Bits.Writer.add_bits w ~width:1 (word lsr 39);
+      if spec.spec_bit then Bits.Writer.add_bits w ~width:1 ((word lsr 38) land 1);
+      Bits.Writer.add_bits w ~width:2 ty;
+      Bits.Writer.add_bits w ~width:spec.opcode_bits (map_new omap code);
+      let fields = plan.fields in
+      let tcs =
+        if plan.tcs_slot < 0 then 0
+        else
+          let f = fields.(plan.tcs_slot) in
+          (word lsr f.shift) land f.mask
+      in
+      for j = 0 to Array.length fields - 1 do
+        let f = fields.(j) in
+        let v = (word lsr f.shift) land f.mask in
+        Bits.Writer.add_bits w ~width:f.width
+          (match f.back with
+          | Raw -> v
+          | Mapped m -> map_new m v
+          | By_tcs { tcs1; other } -> map_new (if tcs = 1 then tcs1 else other) v)
+      done
 
 (* [decode_op] reads the header, then every field's raw bits (into [buf],
    one slot per plan field), then maps TCS, then each field in layout
    order.  A hardware decoder sees all bits at once; sequentially the raw
    bits are buffered because a field's register file can depend on a
    later field (the store format puts SRC2 before TCS). *)
-let transcoder spec =
-  let omaps =
-    Array.init 4 (fun ty ->
-        List.assoc_opt (Tepic.Opcode.optype_of_code ty) spec.opcode_maps)
-  in
-  let plans =
-    Array.init 128 (fun p ->
-        match Tepic.Encode.point_kind p with
-        | None -> None
-        | Some _ ->
-            Option.map (op_plan spec)
-              (Tepic.Opcode.of_code
-                 (Tepic.Opcode.optype_of_code (p lsr 5))
-                 (p land 31)))
-  in
+let transcoder spec { omaps; plans } =
   let tcs_map = field_map spec "TCS" in
   let max_fields =
     Array.fold_left
@@ -354,15 +375,14 @@ let transcoder spec =
 
 let build_with_spec program =
   let spec = finalize_spec (spec_of_program program) in
+  let plans = plans_of spec in
+  let words = Tepic.Program.words program in
   let image, offsets, sizes =
-    Scheme.build_blocks program (fun w ops -> List.iter (encode_op spec w) ops)
+    Scheme.build_blocks words (fun w ws ->
+        Array.iter (encode_word spec plans w) ws)
   in
-  let counts =
-    Array.map
-      (fun b -> Tepic.Program.block_num_ops b)
-      program.Tepic.Program.blocks
-  in
-  let transcode_payload = transcoder spec counts in
+  let counts = Array.map Array.length words in
+  let transcode_payload = transcoder spec plans counts in
   (* The tailored "table" cost is the PLA's value maps: every dense map
      entry stores its original value. *)
   let map_bits m =

@@ -41,6 +41,9 @@ let model_name = function
 let ops_equal a b =
   try List.for_all2 Tepic.Op.equal a b with Invalid_argument _ -> false
 
+(* What a checked decode of a delivered block reports. *)
+type outcome = Clean | Silent | Detected
+
 (* Instrumentation sites below all follow the same shape:
 
      match obs with Some s -> Sink.emit s (Event.Fetch {...}) | None -> ()
@@ -97,6 +100,28 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
               in
               differs b0)
             scheme.Encoding.Scheme.block_offset_bits
+  in
+  (* The ROM image, the decoder and the reference are fixed for the run,
+     so a delivery's outcome depends only on the block and the upsets on
+     it: each (block, sorted flips) is decoded once.  A refetch from ROM
+     is the key (block, []). *)
+  let outcomes : (int * int list, outcome) Hashtbl.t = Hashtbl.create 16 in
+  let outcome f b flips =
+    let key = (b, flips) in
+    match Hashtbl.find_opt outcomes key with
+    | Some o -> o
+    | None ->
+        let img =
+          if flips = [] then f.rom_image else Bits.flip_bits f.rom_image flips
+        in
+        let o =
+          match f.decode_check img b with
+          | Ok ops when ops_equal ops (f.reference b) -> Clean
+          | Ok _ -> Silent
+          | Error _ -> Detected
+        in
+        Hashtbl.add outcomes key o;
+        o
   in
   let line_beats =
     (cfg.Config.line_bits + cfg.Config.bus_bits - 1) / cfg.Config.bus_bits
@@ -258,10 +283,6 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
             !flips <> [] || (Array.length rom_dirty > 0 && rom_dirty.(b))
           in
           if dirty then begin
-            let img =
-              if !flips = [] then f.rom_image
-              else Bits.flip_bits f.rom_image !flips
-            in
             (* [emit_fault] receives a closed constructor function so the
                event is only built under the [Some] branch. *)
             let emit_fault mk =
@@ -273,13 +294,13 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
                          ev = mk () })
               | None -> ()
             in
-            match f.decode_check img b with
-            | Ok ops when ops_equal ops (f.reference b) -> ()
-            | Ok _ ->
+            match outcome f b (List.sort compare !flips) with
+            | Clean -> ()
+            | Silent ->
                 incr silent;
                 emit_fault (fun () ->
                     Cccs_obs.Event.Fault_silent { surface = "cache" })
-            | Error _ ->
+            | Detected ->
                 incr detected;
                 emit_fault (fun () ->
                     Cccs_obs.Event.Fault_detect { surface = "cache" });
@@ -305,13 +326,13 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
                            { cycle = !cycles; visit = !visit; block = b;
                              ev = Cccs_obs.Event.Fault_recover { cycles = pen } })
                   | None -> ());
-                  match f.decode_check f.rom_image b with
-                  | Ok ops when ops_equal ops (f.reference b) -> incr corrected
-                  | Ok _ ->
+                  match outcome f b [] with
+                  | Clean -> incr corrected
+                  | Silent ->
                       incr silent;
                       emit_fault (fun () ->
                           Cccs_obs.Event.Fault_silent { surface = "cache" })
-                  | Error _ ->
+                  | Detected ->
                       if k + 1 < f.max_retries then retry (k + 1)
                       else begin
                         incr traps;

@@ -57,7 +57,9 @@ type result = {
     copy to model ROM cell faults.  [decode_check] must be total (e.g.
     [Encoding.Scheme.decode_block_checked] partially applied) and
     [reference] gives the golden MOPs used to classify silent
-    corruptions. *)
+    corruptions.  Both must be pure: a run decodes each block under each
+    distinct set of upsets once and reuses that outcome for every later
+    delivery and refetch. *)
 type fault_plan = {
   rom_image : string;
   line_events : (int * int) array;

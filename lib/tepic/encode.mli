@@ -4,7 +4,8 @@
     occupies [5 n] bytes.  Decoding needs no context: the fixed T/S/OPT/
     OPCODE prefix selects the format. *)
 
-(** [encode w op] appends the 40-bit image of [op] to [w]. *)
+(** [encode w op] appends the 40-bit image of [op] ({!to_int}) to [w] as
+    one field. *)
 val encode : Bits.Writer.t -> Op.t -> unit
 
 (** [decode r] reads one 40-bit op.  Raises [Invalid_argument] on an
@@ -18,7 +19,10 @@ val encode_ops : Op.t list -> string
 val decode_ops : count:int -> string -> Op.t list
 
 (** [to_int op] is the 40-bit image as a single integer — the symbol used by
-    the full-op Huffman alphabet. *)
+    the full-op Huffman alphabet and every scheme builder's input.  Built
+    per format from field slots read off {!Format_spec.layout} once;
+    raises [Invalid_argument] on a field value that does not fit its
+    slot. *)
 val to_int : Op.t -> int
 
 (** [of_int v] decodes a 40-bit integer image. *)

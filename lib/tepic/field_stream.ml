@@ -94,6 +94,17 @@ let scatter t kind =
            fds))
     (stream_fields t kind)
 
+let gather sc word =
+  let sym = ref 0 and j = ref 0 in
+  while !j < Array.length sc do
+    sym :=
+      !sym
+      lor (((word lsr Array.unsafe_get sc (!j + 2)) land Array.unsafe_get sc (!j + 1))
+          lsl Array.unsafe_get sc !j);
+    j := !j + 3
+  done;
+  !sym
+
 let kind_of_stream0 _t ~value ~width =
   (* Every format lays out T(1) S(1) OPT(2) OPCODE(5) first and validation
      pins those fields to stream 0, so in any configuration the stream-0

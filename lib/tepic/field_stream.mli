@@ -29,7 +29,9 @@ val validate : t -> unit
 val widths : t -> Opcode.kind -> int array
 
 (** [symbols t op] is the per-stream (value, width) symbol vector of [op].
-    Fields concatenate into the symbol in format layout order. *)
+    Fields concatenate into the symbol in format layout order.  The
+    spec-level reference, rebuilt from the layout on every call: builders
+    gather symbols out of baseline words with {!gather} instead. *)
 val symbols : t -> Op.t -> (int * int) array
 
 (** [op_of_symbols t kind values] reassembles an op from per-stream symbol
@@ -43,6 +45,13 @@ val op_of_symbols : t -> Opcode.kind -> int array -> Op.t
     every stream's symbol gives the image {!op_of_symbols} reassembles,
     reserved fields included as they stand in the symbols. *)
 val scatter : t -> Opcode.kind -> int array array
+
+(** [gather sc word] — the encode direction of one stream's {!scatter}
+    triples [sc]: the stream's symbol value, OR-ing
+    [((word lsr b) land m) lsl a] over its triples.  For a [kind] op,
+    [gather (scatter t kind).(s) (Encode.to_int op)] is
+    [fst (symbols t op).(s)]. *)
+val gather : int array -> int -> int
 
 (** [kind_of_stream0 t ~value ~width] decodes the format from a stream-0
     symbol: extracts OPT and OPCODE from their fixed positions.  Raises

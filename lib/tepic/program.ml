@@ -82,6 +82,9 @@ let map_ops f t =
   in
   { t with blocks }
 
+let words t =
+  Array.map (fun b -> Array.of_list (List.map Encode.to_int (block_ops b))) t.blocks
+
 let baseline_image t = Encode.encode_ops (all_ops t)
 let baseline_size_bytes t = Format_spec.op_bytes * num_ops t
 

@@ -56,6 +56,12 @@ val map_ops : (Op.t -> Op.t) -> t -> t
     (5-byte) form, blocks contiguous. *)
 val baseline_image : t -> string
 
+(** [words t] — each block's ops as 40-bit baseline words
+    ({!Encode.to_int}), in layout order: [(words t).(i)] holds block [i].
+    The input of every scheme builder.  Raises [Invalid_argument] on an op
+    whose field overflows its slot. *)
+val words : t -> int array array
+
 (** [baseline_size_bytes t] is [5 * num_ops t]. *)
 val baseline_size_bytes : t -> int
 

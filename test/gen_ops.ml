@@ -67,6 +67,20 @@ let op ?(max_target = 65535) () =
       let* target = int_range 0 max_target in
       return (Tepic.Op.branch ~spec ~pred ~src1 ~counter ~opcode ~target ())
 
+(* [op] with a load's or store's TCS set to [tcs]; other formats have no
+   TCS field. *)
+let set_tcs tcs (op : Tepic.Op.t) =
+  match op.body with
+  | Load b -> { op with body = Load { b with tcs } }
+  | Store b -> { op with body = Store { b with tcs } }
+  | _ -> op
+
+(* [op ()] with TCS drawn from the whole 2-bit field: [op] itself draws
+   only 0-1. *)
+let op_any_tcs () =
+  let* o = op () and* tcs = int_range 0 3 in
+  return (set_tcs tcs o)
+
 (* A non-branch op (for MOP interiors). *)
 let straight_op () =
   let* o = op () in
@@ -123,3 +137,9 @@ let program ?(max_blocks = 12) () =
   in
   let* blocks = build 0 [] in
   return (Tepic.Program.make ~name:"random" blocks)
+
+(* [program ()] with every load's and store's TCS drawn from 0-3. *)
+let program_any_tcs () =
+  let* p = program () and* seed = int in
+  let rng = Random.State.make [| seed |] in
+  return (Tepic.Program.map_ops (fun o -> set_tcs (Random.State.int rng 4) o) p)

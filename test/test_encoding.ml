@@ -297,6 +297,45 @@ let test_tcs_roundtrip () =
         Encoding.Scheme.[ Unprotected; Crc8 ])
     all_builders
 
+(* The plan-driven tailored encoder against the per-op reference walk. *)
+let tailored_matches_reference prog =
+  let sc, spec = Encoding.Tailored.build_with_spec prog in
+  String.equal sc.Encoding.Scheme.image (Encode_reference.Tailored.image spec prog)
+
+let prop_tailored_reference =
+  QCheck.Test.make ~name:"tailored image = per-op reference (TCS 0-3)"
+    ~count:100
+    (QCheck.make (Gen_ops.program_any_tcs ()))
+    tailored_matches_reference
+
+let test_tailored_reference_tcs () =
+  Alcotest.(check bool) "TCS=1 program" true
+    (tailored_matches_reference tcs_program)
+
+(* An op whose field overflows its slot (here PRED = 32 in a 5-bit field,
+   which no constructor lets through) is rejected when the words are
+   built, so no builder can OR it into the neighbouring field. *)
+let test_overflow_rejected () =
+  let open Tepic in
+  let ok = Op.ldi ~imm:1 ~dest:2 () in
+  let bad =
+    { (Op.alu ~opcode:Opcode.ADD ~src1:1 ~src2:2 ~dest:3 ()) with Op.pred = 32 }
+  in
+  let prog =
+    Program.make ~name:"overflow" [ { Program.id = 0; mops = [ Mop.make [ ok; bad ] ] } ]
+  in
+  Alcotest.check_raises "Program.words"
+    (Invalid_argument "Encode.to_int: field PRED does not fit 5 bits: 32")
+    (fun () -> ignore (Program.words prog));
+  List.iter
+    (fun (name, build) ->
+      Alcotest.(check bool)
+        (name ^ " rejects the op") true
+        (match build prog with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    all_builders
+
 let suite =
   [
     Alcotest.test_case "roundtrip, every scheme" `Quick test_roundtrip_all_schemes;
@@ -322,4 +361,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schemes_roundtrip_random_programs;
     Alcotest.test_case "TCS=1 memory ops, every scheme" `Quick
       test_tcs_roundtrip;
+    QCheck_alcotest.to_alcotest prop_tailored_reference;
+    Alcotest.test_case "tailored TCS=1 image = reference" `Quick
+      test_tailored_reference_tcs;
+    Alcotest.test_case "overflowing field rejected by every builder" `Quick
+      test_overflow_rejected;
   ]

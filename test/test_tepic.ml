@@ -333,6 +333,31 @@ let test_normalize_matches_op_path () =
   done;
   List.iter same [ -1; 1 lsl 40; max_int; min_int ]
 
+(* --- Word-driven encoders against the op-level references --- *)
+
+let prop_to_int_reference =
+  QCheck.Test.make ~name:"to_int = Op.fields fold (TCS 0-3)" ~count:1000
+    (QCheck.make ~print:Tepic.Op.to_string (Gen_ops.op_any_tcs ()))
+    (fun op -> Tepic.Encode.to_int op = Encode_reference.to_int op)
+
+let prop_gather_reference =
+  let configs = List.map snd Encoding.Stream_huffman.configs in
+  QCheck.Test.make ~name:"gathered stream symbols = Field_stream.symbols"
+    ~count:500
+    (QCheck.make ~print:Tepic.Op.to_string (Gen_ops.op_any_tcs ()))
+    (fun op ->
+      let word = Tepic.Encode.to_int op and kind = Tepic.Op.kind op in
+      List.for_all
+        (fun config ->
+          let sc = Tepic.Field_stream.scatter config kind
+          and widths = Tepic.Field_stream.widths config kind in
+          Array.for_all2 ( = )
+            (Array.mapi
+               (fun s triples -> (Tepic.Field_stream.gather triples word, widths.(s)))
+               sc)
+            (Tepic.Field_stream.symbols config op))
+        configs)
+
 let suite =
   [
     Alcotest.test_case "Table 2: all formats are 40 bits" `Quick
@@ -362,4 +387,6 @@ let suite =
       test_normalize_matches_op_path;
     Alcotest.test_case "opcode tables = table scan" `Quick
       test_opcode_tables_vs_scan;
+    QCheck_alcotest.to_alcotest prop_to_int_reference;
+    QCheck_alcotest.to_alcotest prop_gather_reference;
   ]
