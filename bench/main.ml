@@ -328,7 +328,11 @@ let write_obs rows =
 (* in BENCH_perf.json (schema "cccs-bench/1") for CI to archive.      *)
 (* ------------------------------------------------------------------ *)
 
-let now = Unix.gettimeofday
+(* Every row is timed on the monotonic clock, in seconds. *)
+let mono_s () = Monotonic_clock.get () /. 1e9
+
+(* The best of several timed runs: noise only ever slows a run down. *)
+let fastest = List.fold_left Float.min infinity
 
 (* Deterministic symbol source — stdlib Random changed algorithms across
    releases, and the stream must be identical for both decoders. *)
@@ -432,12 +436,12 @@ let throughput book data nsyms =
     failwith "bench perf: seed/table decode mismatch";
   let bytes = float_of_int (String.length data) in
   let window pass =
-    let t0 = now () in
+    let t0 = mono_s () in
     let passes = ref 0 and elapsed = ref 0.0 in
     while !elapsed < 0.2 do
       if pass () <> expect then failwith "bench perf: decode mismatch";
       incr passes;
-      elapsed := now () -. t0
+      elapsed := mono_s () -. t0
     done;
     float_of_int !passes *. bytes /. 1e6 /. !elapsed
   in
@@ -511,12 +515,12 @@ let perf_image_decode ~cores =
              "bench perf: image-decode %s diverged from the baseline image"
              name);
       let window () =
-        let t0 = now () in
+        let t0 = mono_s () in
         let reps = ref 0 and elapsed = ref 0.0 in
         while !elapsed < 0.2 do
           ignore (decode ());
           incr reps;
-          elapsed := now () -. t0
+          elapsed := mono_s () -. t0
         done;
         !elapsed /. float_of_int !reps
       in
@@ -571,12 +575,12 @@ let perf_fetch_sim ~cores =
         in
         let visits = expect.Fetch.Sim.block_visits in
         let window () =
-          let t0 = now () in
+          let t0 = mono_s () in
           let reps = ref 0 and elapsed = ref 0.0 in
           while !elapsed < 0.2 do
             sim ();
             incr reps;
-            elapsed := now () -. t0
+            elapsed := mono_s () -. t0
           done;
           float_of_int (!reps * visits) /. !elapsed
         in
@@ -606,8 +610,6 @@ let perf_fetch_sim ~cores =
 (* stream row builds all six configurations.  Each row is the best of  *)
 (* three passes, and every pass must build the first pass's images.    *)
 (* ------------------------------------------------------------------ *)
-
-let mono_s () = Monotonic_clock.get () /. 1e9
 
 let perf_scheme_build ~cores =
   let progs =
@@ -651,7 +653,7 @@ let perf_scheme_build ~cores =
                   ^ " built different images on a later pass");
                s)
       in
-      let seconds = List.fold_left Float.min infinity samples in
+      let seconds = fastest samples in
       let ns_per_op = seconds *. 1e9 /. float_of_int ops in
       Printf.printf "perf/scheme-build/%-8s  %7.3f s  %7.1f ns/op\n%!" name
         seconds ns_per_op;
@@ -677,7 +679,7 @@ let never_lose_factor = 1.15
 let sweep_once ~jobs =
   Cccs.Workload_run.clear_cache ();
   Cccs.Experiments.clear_cache ();
-  let t0 = now () in
+  let t0 = mono_s () in
   let rows =
     Cccs.Parallel.map ~jobs
       (fun e ->
@@ -685,7 +687,53 @@ let sweep_once ~jobs =
         (Cccs.Experiments.fig5_for r, Cccs.Experiments.fig13_for r))
       Workloads.Suite.spec
   in
-  (rows, now () -. t0)
+  (rows, mono_s () -. t0)
+
+(* perf/sweep/jobs{1,4}: three alternating jobs=1 / jobs=4 pairs, so a
+   noise burst cannot tax one side only, and every pass must produce the
+   first jobs=1 pass's rows.  Each row keeps its side's best pass and all
+   its [samples].  The never-lose check runs only once the rows are
+   printed, so a failed run still shows its numbers.  On a 1-core runner
+   Parallel.map degrades jobs=4 to the sequential walk, so the jobs=4
+   sweep may never lose to jobs=1 past noise.  (This run used to regress
+   to 0.46x on 1 core before the clamp existed.) *)
+let perf_sweep ~cores =
+  let first, t1 = sweep_once ~jobs:1 in
+  let timed jobs =
+    let rows, s = sweep_once ~jobs in
+    if rows <> first then
+      failwith
+        (Printf.sprintf "bench perf: jobs=%d sweep diverged from jobs=1" jobs);
+    s
+  in
+  let t4 = timed 4 in
+  let rest = List.init 2 (fun _ -> (timed 1, timed 4)) in
+  let sweep1 = t1 :: List.map fst rest and sweep4 = t4 :: List.map snd rest in
+  let s1 = fastest sweep1 and s4 = fastest sweep4 in
+  Printf.printf
+    "perf/sweep   jobs=1 %6.2fs   jobs=4 %6.2fs   %5.2fx  (best of %d \
+     pairs, %d cores, results identical)\n"
+    s1 s4 (s1 /. s4) (List.length sweep1) cores;
+  if s4 > (s1 *. never_lose_factor) +. 0.1 then
+    failwith
+      (Printf.sprintf
+         "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
+          %.2fx never-lose bound (%d cores)"
+         s4 s1 never_lose_factor cores);
+  let open Cccs_obs.Json in
+  let samples l = ("samples", Arr (List.map (fun x -> Num x) l)) in
+  [
+    Obj
+      [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1); samples sweep1 ];
+    Obj
+      [
+        ("name", Str "perf/sweep/jobs4");
+        ("seconds", Num s4);
+        ("speedup", Num (s1 /. s4));
+        ("cores", int cores);
+        samples sweep4;
+      ];
+  ]
 
 (* BENCH_perf.json is shared by the [perf] and [fuzz] modes: each mode
    owns the name prefixes it writes and must not clobber the other's rows,
@@ -726,7 +774,7 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~s1 ~s4 ~cores =
+let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~sweep_rows =
   let open Cccs_obs.Json in
   let decode_json d =
     Obj
@@ -744,17 +792,7 @@ let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~s1 ~s4 ~cores =
     List.map decode_json decode_rows
     @ image_rows
     @ fetch_rows
-    @ build_rows
-    @ [
-        Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
-        Obj
-          [
-            ("name", Str "perf/sweep/jobs4");
-            ("seconds", Num s4);
-            ("speedup", Num (s1 /. s4));
-            ("cores", int cores);
-          ];
-      ]
+    @ build_rows @ sweep_rows
   in
   write_perf_rows
     ~prefixes:
@@ -789,26 +827,8 @@ let run_perf () =
   let image_rows = bspan "image-decode" (fun () -> perf_image_decode ~cores) in
   let fetch_rows = bspan "fetch-sim" (fun () -> perf_fetch_sim ~cores) in
   let build_rows = bspan "scheme-build" (fun () -> perf_scheme_build ~cores) in
-  let rows1, s1 = bspan "sweep_jobs1" (fun () -> sweep_once ~jobs:1) in
-  let rows4, s4 = bspan "sweep_jobs4" (fun () -> sweep_once ~jobs:4) in
-  if rows1 <> rows4 then
-    failwith "bench perf: parallel sweep diverged from sequential";
-  Printf.printf
-    "perf/sweep   jobs=1 %6.2fs   jobs=4 %6.2fs   %5.2fx  (%d cores, \
-     results identical)\n"
-    s1 s4 (s1 /. s4) cores;
-  (* The never-lose check runs only once every row is printed, so a failed
-     run still shows its numbers.  On a 1-core runner Parallel.map degrades
-     jobs=4 to the sequential walk, so the jobs=4 sweep may never lose to
-     jobs=1 past noise.  (This run used to regress to 0.46x on 1 core
-     before the clamp existed.) *)
-  if s4 > (s1 *. never_lose_factor) +. 0.1 then
-    failwith
-      (Printf.sprintf
-         "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
-          %.2fx never-lose bound (%d cores)"
-         s4 s1 never_lose_factor cores);
-  write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~s1 ~s4 ~cores
+  let sweep_rows = bspan "sweep" (fun () -> perf_sweep ~cores) in
+  write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~sweep_rows
 
 (* ------------------------------------------------------------------ *)
 (* fuzz group: campaign throughput and bounded-memory trace streaming. *)
@@ -861,7 +881,7 @@ let stream_rows () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let t0 = now () in
+      let t0 = mono_s () in
       let w = Ts.create path in
       let i = ref 0 in
       while Ts.visits_written w < stream_target_visits do
@@ -869,7 +889,7 @@ let stream_rows () =
         i := if !i + 1 = n then 0 else !i + 1
       done;
       Ts.close w;
-      let write_s = now () -. t0 in
+      let write_s = mono_s () -. t0 in
       let file_bytes = (Unix.stat path).Unix.st_size in
       let sch = Encoding.Full_huffman.build prog in
       let cfg = Fetch.Config.default in
@@ -892,7 +912,7 @@ let stream_rows () =
       let heap0 = (Gc.quick_stat ()).Gc.heap_words in
       let peak = ref heap0 in
       let visits = ref 0 in
-      let t0 = now () in
+      let t0 = mono_s () in
       let streamed =
         match
           Ts.with_blocks path ~f:(fun iter_blocks ->
@@ -907,7 +927,7 @@ let stream_rows () =
         | Ok r -> r
         | Error e -> failwith ("bench fuzz: " ^ Ts.error_to_string e)
       in
-      let replay_s = now () -. t0 in
+      let replay_s = mono_s () -. t0 in
       peak := max !peak (Gc.quick_stat ()).Gc.heap_words;
       let heap_delta = (!peak - heap0) * (Sys.word_size / 8) in
       let bounded = heap_delta <= stream_heap_cap_bytes in

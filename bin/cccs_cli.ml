@@ -483,30 +483,279 @@ let trace_cmd =
        ~doc:"Execute a workload and save its block-address trace to a file")
     Term.(const run $ setup_logs $ bench_arg $ path_arg $ perfetto_arg)
 
+(* One workload's row of `cccs verify`.  A [*_failed] list names the
+   schemes a check rejected. *)
+type verify_row = {
+  name : string;
+  mem_ok : bool;
+  trace_ok : bool;
+  schemes_failed : string list;  (* ROMs that do not decode back *)
+  lint_ok : bool;
+  lint_warnings : int;
+  validate_ok : bool;
+  validate_failed : string list;
+  certify_ok : bool;
+  certify_failed : string list;
+  faults_ok : bool;
+  faults_detected : int;
+  wcet_ok : bool;
+  wcet_failed : string list;
+  wcet_min_ratio : float option;  (* worst bound/simulated; sound is >= 1 *)
+  seconds : float;
+}
+
 let verify_cmd =
-  let run () e =
-    let v = Cccs.Experiments.verify (Cccs.Workload_run.load e) in
-    let status ok = if ok then "OK" else "MISMATCH" in
+  (* The column table, the one source of the row cells, the check summary,
+     the JSON [checks] object and the verdict: (summary label, row cell,
+     pass test, cell text).  A failed cell names the schemes at fault. *)
+  let flag ok = if ok then "OK" else "FAIL" in
+  let named ok failed =
+    if ok || failed = [] then flag ok
+    else "FAIL[" ^ String.concat "," failed ^ "]"
+  in
+  let column ?(failed = fun _ -> []) label cell ok_of =
+    (label, cell, ok_of, fun r -> named (ok_of r) (failed r))
+  in
+  let columns =
+    [
+      column "differential-memory" "mem" (fun r -> r.mem_ok);
+      column "differential-trace" "trace" (fun r -> r.trace_ok);
+      column "scheme-decode-back" "schemes"
+        (fun r -> r.schemes_failed = [])
+        ~failed:(fun r -> r.schemes_failed);
+      column "static-lint" "lint" (fun r -> r.lint_ok);
+      column "image-validate" "validate"
+        (fun r -> r.validate_ok)
+        ~failed:(fun r -> r.validate_failed);
+      column "decoder-certify" "certify"
+        (fun r -> r.certify_ok)
+        ~failed:(fun r -> r.certify_failed);
+      ( "fault-protection",
+        "faults",
+        (fun r -> r.faults_ok),
+        fun r ->
+          Printf.sprintf "%s(%d det)" (flag r.faults_ok) r.faults_detected );
+      ( "wcet-bound",
+        "wcet",
+        (fun r -> r.wcet_ok),
+        fun r ->
+          match r.wcet_min_ratio with
+          | Some m when r.wcet_ok -> Printf.sprintf "OK(x%.2f)" m
+          | _ -> named r.wcet_ok r.wcet_failed );
+    ]
+  in
+  let row_ok r = List.for_all (fun (_, _, ok_of, _) -> ok_of r) columns in
+  (* Seed of the per-workload fault campaign, echoed in the JSON so the
+     campaign can be rerun on its own. *)
+  let fault_seed = 7 in
+  (* The eight checks of one workload: its row and its report lines (the
+     error diagnostics, then the row line). *)
+  let check (e : Workloads.Suite.entry) =
+    let t0 = Unix.gettimeofday () in
+    let r = Cccs.Workload_run.load e in
+    let c = r.Cccs.Workload_run.compiled in
+    let prog = c.Cccs.Pipeline.program in
+    let res = r.Cccs.Workload_run.exec in
+    let v = Cccs.Experiments.verify r in
+    (* CRC-8 framing must detect flips and let no silent corruption out. *)
+    let faults =
+      Cccs.Faults.run
+        {
+          Cccs.Faults.bench = e.name;
+          seed = fault_seed;
+          flips = 16;
+          retries = 2;
+          protection = Encoding.Scheme.Crc8;
+        }
+    in
+    let faults_detected =
+      List.fold_left
+        (fun a (x : Cccs.Faults.scheme_report) ->
+          a + x.rom.detected + x.table.detected + x.cache.detected)
+        0 faults.Cccs.Faults.rows
+    in
+    (* Each pass runs on its own, so each column reads its own pass. *)
+    let target = Cccs.Analysis.target_of_run r in
+    let passes =
+      List.map
+        (fun (module P : Cccs.Analysis.Pass.S) -> (P.name, P.run target))
+        Cccs.Analysis.passes
+    in
+    let diags = List.concat_map snd passes in
+    let errors = List.filter Diag.is_error diags in
+    let pass_ok name =
+      not (List.exists Diag.is_error (List.assoc name passes))
+    in
+    let pass_failed name = Diag.failed_schemes (List.assoc name passes) in
+    (* Trace-backed WCET: every scheme needs a finite bound that the
+       simulator replay stays within. *)
+    let wcet = Cccs.Analysis.wcet_run r in
+    let wcet_errors = List.filter Diag.is_error (List.concat_map fst wcet) in
+    let bounds = List.filter_map snd wcet in
+    let unsound (w : Cccs.Analysis.Timing_check.wcet) =
+      if Option.fold ~none:false ~some:(fun f -> f >= 1.0) w.ratio then None
+      else Some w.scheme
+    in
+    let wcet_failed =
+      List.sort_uniq compare
+        (Diag.failed_schemes wcet_errors @ List.filter_map unsound bounds)
+    in
+    let ratios =
+      List.filter_map
+        (fun (w : Cccs.Analysis.Timing_check.wcet) -> w.ratio)
+        bounds
+    in
+    let row =
+      {
+        name = e.name;
+        mem_ok = v.Cccs.Experiments.memory_ok;
+        trace_ok = v.Cccs.Experiments.trace_ok;
+        schemes_failed =
+          List.filter_map
+            (fun (n, ok) -> if ok then None else Some n)
+            v.Cccs.Experiments.decode_back;
+        lint_ok = errors = [];
+        lint_warnings = List.length diags - List.length errors;
+        validate_ok = pass_ok "image";
+        validate_failed = pass_failed "image";
+        certify_ok = pass_ok "certify";
+        certify_failed = pass_failed "certify";
+        faults_ok =
+          faults_detected > 0
+          && List.for_all
+               (fun x -> Cccs.Faults.silent_total x = 0)
+               faults.Cccs.Faults.rows;
+        faults_detected;
+        wcet_ok = wcet_failed = [] && List.length bounds = List.length wcet;
+        wcet_failed;
+        wcet_min_ratio =
+          (match ratios with
+          | [] -> None
+          | f :: fs -> Some (List.fold_left Float.min f fs));
+        seconds = Unix.gettimeofday () -. t0;
+      }
+    in
+    let line =
+      Printf.sprintf
+        "%-12s blocks=%5d ops=%6d ilp=%4.2f hoist=%4d | dyn_ops=%8d visits=%7d \
+         %s |%s | %.2fs"
+        e.name
+        (Tepic.Program.num_blocks prog)
+        (Tepic.Program.num_ops prog)
+        c.Cccs.Pipeline.ilp c.Cccs.Pipeline.hoisted
+        (Emulator.Trace.total_ops res.Emulator.Exec.trace)
+        (Emulator.Trace.length res.Emulator.Exec.trace)
+        (match res.Emulator.Exec.stop with
+        | Emulator.Exec.Fell_through -> "end"
+        | Emulator.Exec.Halted -> "halt"
+        | Emulator.Exec.Budget_exhausted -> "BUDGET")
+        (String.concat ""
+           (List.map
+              (fun (_, cell, _, show) -> " " ^ cell ^ " " ^ show row)
+              columns))
+        row.seconds
+    in
+    ( row,
+      List.map (fun d -> "  " ^ Diag.to_string d) (errors @ wcet_errors)
+      @ [ line ] )
+  in
+  let run () entries json =
+    let jobs = Cccs.Parallel.default_jobs () in
+    let out = report_to json in
+    (* Workloads check in parallel; their reports print in suite order. *)
+    let rows =
+      List.map
+        (fun (row, lines) ->
+          List.iter (Format.fprintf out "%s@.") lines;
+          row)
+        (Cccs.Parallel.map ~jobs check entries)
+    in
+    let failures =
+      List.map
+        (fun (label, _, ok_of, _) ->
+          ( label,
+            List.filter_map
+              (fun r -> if ok_of r then None else Some r.name)
+              rows ))
+        columns
+    in
+    let total = List.length rows in
+    Format.fprintf out "@.";
     List.iter
-      (fun (name, ok) ->
-        Printf.printf "scheme %-10s decode-back %s\n" name (status ok))
-      v.Cccs.Experiments.decode_back;
-    Printf.printf "differential memory  %s\n"
-      (status v.Cccs.Experiments.memory_ok);
-    Printf.printf "differential trace   %s\n"
-      (status v.Cccs.Experiments.trace_ok);
-    if
-      not
-        (v.Cccs.Experiments.memory_ok && v.Cccs.Experiments.trace_ok
-        && List.for_all snd v.Cccs.Experiments.decode_back)
-    then exit 1
+      (fun (label, failed) ->
+        Format.fprintf out "check %-22s %d/%d pass%s@." label
+          (total - List.length failed)
+          total
+          (if failed = [] then "" else ": FAIL " ^ String.concat ", " failed))
+      failures;
+    let warnings = List.fold_left (fun a r -> a + r.lint_warnings) 0 rows in
+    if warnings > 0 then
+      Format.fprintf out "static-lint warnings: %d (non-fatal)@." warnings;
+    let ok = List.for_all row_ok rows in
+    Format.fprintf out "verify: %s@."
+      (if ok then "all workloads verified" else "FAILURES");
+    let names l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+    (* One ledger row per workload, for `cccs perfdiff --kind verify_all`. *)
+    ledger_append ~kind:"verify_all" ~jobs
+      ~meta:[ ("seed", Json.int fault_seed) ]
+      (List.map
+         (fun r ->
+           Json.Obj
+             [
+               ("name", Json.Str r.name);
+               ("seconds", Json.Num r.seconds);
+               ("ok", Json.Bool (row_ok r));
+             ])
+         rows);
+    let row_json r =
+      let open Json in
+      Obj
+        [
+          ("name", Str r.name);
+          ("mem_ok", Bool r.mem_ok);
+          ("trace_ok", Bool r.trace_ok);
+          ("schemes_ok", Bool (r.schemes_failed = []));
+          ("schemes_failed", names r.schemes_failed);
+          ("lint_ok", Bool r.lint_ok);
+          ("lint_warnings", int r.lint_warnings);
+          ("validate_ok", Bool r.validate_ok);
+          ("validate_failed", names r.validate_failed);
+          ("certify_ok", Bool r.certify_ok);
+          ("certify_failed", names r.certify_failed);
+          ("faults_ok", Bool r.faults_ok);
+          ("faults_detected", int r.faults_detected);
+          ("wcet_ok", Bool r.wcet_ok);
+          ("wcet_failed", names r.wcet_failed);
+          ( "wcet_min_ratio",
+            match r.wcet_min_ratio with None -> Null | Some f -> Num f );
+          ("seconds", Num r.seconds);
+        ]
+    in
+    finish ~json ~schema:"cccs-verify/1" ~ok
+      Json.
+        [
+          ("seed", int fault_seed);
+          ("jobs", int jobs);
+          ("workloads", Arr (List.map row_json rows));
+          ( "checks",
+            Obj
+              (List.map
+                 (fun (label, failed) ->
+                   let pass = Bool (failed = []) in
+                   (label, Obj [ ("pass", pass); ("failed", names failed) ]))
+                 failures) );
+        ]
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Differentially verify one workload (scheduled vs sequential \
-          semantics) and decode-check every scheme")
-    Term.(const run $ setup_logs $ bench_arg)
+         "The end-to-end check: differential memory and trace against the \
+          sequential interpreter, decode-back of every scheme, the static \
+          verifier, a seeded CRC-8 fault campaign and the trace-checked WCET \
+          bound, one row per workload; exits 1 on any failed check")
+    Term.(
+      const run $ setup_logs $ workloads_arg "Verify"
+      $ json_arg "cccs-verify/1")
 
 let lint_cmd =
   let pass_arg =

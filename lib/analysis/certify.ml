@@ -18,8 +18,9 @@
      code) leaves a desynchronized decoder desynchronized for the rest of
      an unframed block — the resync story W107 samples becomes a proof.
 
-   The certificate record is what `cccs_cli certify` serializes as
-   cccs-certify/1 and what verify_all folds into its per-row report. *)
+   The certificate record is what `cccs certify` serializes as
+   cccs-certify/1; `cccs verify` reads this pass's errors into the
+   certify column of its per-workload row. *)
 
 type book_cert = {
   book : string;

@@ -193,6 +193,12 @@ let make ~code ~loc message =
 
 let is_error d = d.severity = Error
 
+let failed_schemes diags =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun d -> if is_error d then d.loc.scheme else None)
+       diags)
+
 let pp_severity ppf = function
   | Error -> Format.pp_print_string ppf "error"
   | Warning -> Format.pp_print_string ppf "warning"

@@ -46,6 +46,12 @@ val severity_of_code : string -> severity
 val describe : string -> string
 
 val is_error : t -> bool
+
+(** [failed_schemes diags] — the schemes the errors among [diags] are
+    attributed to, sorted, each once.  Warnings and errors that name no
+    scheme are left out. *)
+val failed_schemes : t list -> string list
+
 val pp_severity : Format.formatter -> severity -> unit
 val pp_loc : Format.formatter -> loc -> unit
 val pp : Format.formatter -> t -> unit

@@ -56,7 +56,8 @@ type verdict = {
 }
 
 (** [verify r] — the differential and decode-back checks of one workload,
-    over the memoized schemes. *)
+    over the memoized schemes: the first three of the eight checks of
+    [cccs verify]. *)
 val verify : Workload_run.run -> verdict
 
 (** {1 Figure 5 — compression ratio, code segment only} *)

@@ -1,6 +1,6 @@
 (* Append-only cross-run telemetry ledger.
 
-   Every measuring entry point (bench, verify_all, faults, fuzz) appends
+   Every measuring entry point (bench, cccs verify, faults, fuzz) appends
    one JSON line (schema "cccs-ledger/1") describing the invocation: what
    kind of run it was, which git revision and machine shape produced it,
    and the full result rows.  Unlike the BENCH_*.json snapshots — which
@@ -15,7 +15,8 @@
 let schema = "cccs-ledger/1"
 
 type entry = {
-  kind : string;  (* "bench" | "bench_perf" | "verify_all" | "faults" | ... *)
+  kind : string;
+      (* "bench" | "bench_perf" | "verify_all" (cccs verify) | "faults" | ... *)
   git_rev : string;
   timestamp : float;  (* unix seconds, caller-supplied *)
   cores : int;
@@ -161,11 +162,6 @@ let default_path () =
   | None | Some "" | Some "off" -> "ledger.jsonl"
   | Some p -> p
 
-let enabled () =
-  match Sys.getenv_opt "CCCS_LEDGER" with
-  | Some ("off" | "") -> false
-  | _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Git revision without a subprocess: follow .git/HEAD by hand.  Any
    failure (not a repository, detached layouts we don't know, permission
@@ -239,11 +235,12 @@ let git_rev ?(dir = ".") () =
    bookkeeping must not fail the measured command itself. *)
 
 let record ~kind ~timestamp ~cores ?jobs ?schemes ?meta rows =
-  if not (enabled ()) then Ok ()
-  else
-    try
-      Ok
-        (append ~path:(default_path ())
-           (make ~kind ~git_rev:(git_rev ()) ~timestamp ~cores ?jobs ?schemes
-              ?meta rows))
-    with Sys_error msg -> Error msg
+  match Sys.getenv_opt "CCCS_LEDGER" with
+  | Some ("off" | "") -> Ok ()
+  | _ -> (
+      try
+        Ok
+          (append ~path:(default_path ())
+             (make ~kind ~git_rev:(git_rev ()) ~timestamp ~cores ?jobs
+                ?schemes ?meta rows))
+      with Sys_error msg -> Error msg)

@@ -1,9 +1,10 @@
 (** Append-only cross-run telemetry ledger (JSONL, schema
     ["cccs-ledger/1"]).
 
-    Each measuring entry point (bench, verify_all, faults, fuzz) appends
-    one line per invocation: run kind, git revision, timestamp, machine
-    shape ([cores], [jobs]), the scheme set and the full result rows.
+    Each measuring entry point ([bench], [cccs verify], [cccs faults],
+    [cccs fuzz]) appends one line per invocation: run kind, git revision,
+    timestamp, machine shape ([cores], [jobs]), the scheme set and the
+    full result rows.
     {!Compare} and [cccs perfdiff] read consecutive entries back to turn
     the overwritten BENCH_*.json snapshots into an auditable time
     series.
@@ -17,8 +18,8 @@ val schema : string
 
 type entry = {
   kind : string;
-      (** ["bench"], ["bench_perf"], ["bench_fuzz"], ["verify_all"],
-          ["faults"], ["fuzz"], ... *)
+      (** ["bench"], ["bench_perf"], ["bench_fuzz"], ["verify_all"]
+          (written by [cccs verify]), ["faults"], ["fuzz"], ... *)
   git_rev : string;
   timestamp : float;  (** unix seconds, caller-supplied *)
   cores : int;
@@ -62,17 +63,15 @@ val last_two : ?kind:string -> entry list -> entry option * entry option
 (** [$CCCS_LEDGER], defaulting to ["ledger.jsonl"]. *)
 val default_path : unit -> string
 
-(** [false] when [$CCCS_LEDGER] is ["off"] or empty — recording is
-    opt-out, and tests use this to stay side-effect free. *)
-val enabled : unit -> bool
-
 (** Current git revision by following [.git/HEAD] (worktrees and packed
     refs included); ["unknown"] when [dir] is not inside a repository. *)
 val git_rev : ?dir:string -> unit -> string
 
 (** [record ~kind ~timestamp ~cores rows] — append one entry, stamped with
-    {!git_rev}, to {!default_path} when {!enabled}.  [Error msg] when the
-    ledger cannot be written; never raises [Sys_error]. *)
+    {!git_rev}, to {!default_path}, unless [$CCCS_LEDGER] is ["off"] or
+    empty (recording is opt-out; tests use this to stay side-effect
+    free).  [Error msg] when the ledger cannot be written; never raises
+    [Sys_error]. *)
 val record :
   kind:string ->
   timestamp:float ->

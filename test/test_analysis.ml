@@ -56,6 +56,19 @@ let test_collector () =
   Alcotest.(check int) "warnings" 1 (A.Diag.Collector.warnings c);
   Alcotest.(check int) "error exit 1" 1 (A.Diag.Collector.exit_status c)
 
+let test_failed_schemes () =
+  let d ?scheme code = A.Diag.make ~code ~loc:(A.Diag.loc ?scheme "x") "m" in
+  Alcotest.(check (list string))
+    "errors only, sorted, each once, scheme-less ignored" [ "dict"; "full" ]
+    (A.Diag.failed_schemes
+       [
+         d ~scheme:"full" "CCCS-E204";
+         d ~scheme:"dict" "CCCS-E300";
+         d ~scheme:"byte" "CCCS-W107";
+         d "CCCS-E012";
+         d ~scheme:"full" "CCCS-E300";
+       ])
+
 (* ---------------------------------------------------------------- *)
 (* Dataflow                                                          *)
 (* ---------------------------------------------------------------- *)
@@ -367,4 +380,5 @@ let suite =
     Alcotest.test_case "dense map width (E041)" `Quick test_dense_map_width;
     Alcotest.test_case "decoder completeness (E050)" `Quick test_decoder_tamper;
     Alcotest.test_case "real workload lints clean" `Slow test_clean_workload;
+    Alcotest.test_case "diag failed_schemes" `Quick test_failed_schemes;
   ]

@@ -254,9 +254,8 @@ let prop_random_profiles_schemes =
           Encoding.Stream_huffman.build;
         ])
 
-(* The decode-back and differential check that `cccs verify` and
-   verify_all share covers every scheme, the five extra stream
-   configurations included. *)
+(* The decode-back and differential check behind `cccs verify` covers
+   every scheme, the five extra stream configurations included. *)
 let test_verify_covers_every_scheme () =
   let e =
     match Workloads.Suite.find "fir" with Some e -> e | None -> assert false
