@@ -605,20 +605,89 @@ let perf_fetch_sim ~cores =
     (Cccs.Experiments.fetch_models r)
 
 (* ------------------------------------------------------------------ *)
-(* perf/scheme-build: every scheme builder over the 13 suite programs, *)
-(* one after another on one core, timed on the monotonic clock; the    *)
-(* stream row builds all six configurations.  Each row is the best of  *)
-(* three passes, and every pass must build the first pass's images.    *)
+(* perf/compile, perf/emulate and perf/scheme-build: the layers every  *)
+(* figure loads through, over the 13 suite programs one after another  *)
+(* on one core, timed on the monotonic clock.  Each row is the best of *)
+(* three passes, and every pass must reproduce the first pass's        *)
+(* baseline images, trace lengths and checksums, or scheme images.     *)
 (* ------------------------------------------------------------------ *)
 
-let perf_scheme_build ~cores =
-  let progs =
-    List.map
-      (fun e ->
-        (Cccs.Workload_run.load e).Cccs.Workload_run.compiled
-          .Cccs.Pipeline.program)
-      Workloads.Suite.all
+(* [passes name ~check pass] — three timed runs of [pass], each [check]ed
+   off the clock against the first: the first run's checked result, the
+   samples, and the minor-heap words of the first run. *)
+let passes name ~check pass =
+  let run () =
+    let words0 = Gc.minor_words () and t0 = mono_s () in
+    let r = pass () in
+    let s = mono_s () -. t0 in
+    (check r, s, Gc.minor_words () -. words0)
   in
+  let first, s0, words = run () in
+  let samples =
+    s0
+    :: List.init 2 (fun _ ->
+           let r, s, _ = run () in
+           if r <> first then
+             failwith ("bench perf: " ^ name ^ " changed on a later pass");
+           s)
+  in
+  (first, samples, words)
+
+let perf_row ~cores ?(extra = []) name ~ops samples =
+  let seconds = fastest samples in
+  let ns_per_op = seconds *. 1e9 /. float_of_int ops in
+  Printf.printf "perf/%-21s %7.3f s  %7.1f ns/op\n%!" name seconds ns_per_op;
+  Cccs_obs.Json.(
+    Obj
+      ([
+         ("name", Str ("perf/" ^ name));
+         ("seconds", Num seconds);
+         ("ns_per_op", Num ns_per_op);
+         ("cores", int cores);
+         ("ops", int ops);
+         ("samples", Arr (List.map (fun x -> Num x) samples));
+       ]
+      @ extra))
+
+(* perf/compile/suite: [Pipeline.compile] of each generated program;
+   [ops] counts the ops compiled. *)
+let perf_compile ~cores progs =
+  let workloads = List.map Cccs.Workload_run.generate Workloads.Suite.all in
+  let _, samples, _ =
+    passes "compile/suite"
+      ~check:(List.map Tepic.Program.baseline_image)
+      (fun () ->
+        List.map
+          (fun w -> (Cccs.Pipeline.compile w).Cccs.Pipeline.program)
+          workloads)
+  in
+  let ops = List.fold_left (fun a p -> a + Tepic.Program.num_ops p) 0 progs in
+  perf_row ~cores "compile/suite" ~ops samples
+
+(* perf/emulate/suite: [Exec.run] of each compiled program; [ops] counts
+   the ops executed, and [minor_words_per_op] is what they allocate. *)
+let perf_emulate ~cores progs =
+  let first, samples, words =
+    passes "emulate/suite"
+      ~check:
+        (List.map (fun (r : Emulator.Exec.result) ->
+             ( Emulator.Trace.length r.trace,
+               Emulator.Trace.total_ops r.trace,
+               Emulator.Machine.checksum r.machine )))
+      (fun () -> List.map (Emulator.Exec.run ~max_blocks:3_000_000) progs)
+  in
+  let ops = List.fold_left (fun a (_, ops, _) -> a + ops) 0 first in
+  let words_per_op = words /. float_of_int ops in
+  let row =
+    perf_row ~cores "emulate/suite" ~ops samples
+      ~extra:[ ("minor_words_per_op", Cccs_obs.Json.Num words_per_op) ]
+  in
+  Printf.printf "perf/emulate/suite     %7.3f minor words/op\n%!" words_per_op;
+  row
+
+(* perf/scheme-build: every scheme builder; the stream row builds all six
+   configurations. *)
+let perf_scheme_build ~cores progs =
   let ops = List.fold_left (fun a p -> a + Tepic.Program.num_ops p) 0 progs in
   let image build p = [ (build p).Encoding.Scheme.image ] in
   let builders =
@@ -637,36 +706,11 @@ let perf_scheme_build ~cores =
   in
   List.map
     (fun (name, build) ->
-      let pass () =
-        let t0 = mono_s () in
-        let images = List.concat_map build progs in
-        (images, mono_s () -. t0)
+      let name = "scheme-build/" ^ name in
+      let _, samples, _ =
+        passes name ~check:Fun.id (fun () -> List.concat_map build progs)
       in
-      let first, s0 = pass () in
-      let samples =
-        s0
-        :: List.init 2 (fun _ ->
-               let images, s = pass () in
-               if images <> first then
-                 failwith
-                   ("bench perf: scheme-build/" ^ name
-                  ^ " built different images on a later pass");
-               s)
-      in
-      let seconds = fastest samples in
-      let ns_per_op = seconds *. 1e9 /. float_of_int ops in
-      Printf.printf "perf/scheme-build/%-8s  %7.3f s  %7.1f ns/op\n%!" name
-        seconds ns_per_op;
-      Cccs_obs.Json.(
-        Obj
-          [
-            ("name", Str ("perf/scheme-build/" ^ name));
-            ("seconds", Num seconds);
-            ("ns_per_op", Num ns_per_op);
-            ("cores", int cores);
-            ("ops", int ops);
-            ("samples", Arr (List.map (fun x -> Num x) samples));
-          ]))
+      perf_row ~cores name ~ops samples)
     builders
 
 (* The jobs=4 sweep may not cost more than this over jobs=1. *)
@@ -774,7 +818,8 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~sweep_rows =
+let write_perf decode_rows ~image_rows ~fetch_rows ~load_rows ~build_rows
+    ~sweep_rows =
   let open Cccs_obs.Json in
   let decode_json d =
     Obj
@@ -792,7 +837,7 @@ let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~sweep_rows =
     List.map decode_json decode_rows
     @ image_rows
     @ fetch_rows
-    @ build_rows @ sweep_rows
+    @ load_rows @ build_rows @ sweep_rows
   in
   write_perf_rows
     ~prefixes:
@@ -800,6 +845,8 @@ let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~sweep_rows =
         "perf/decode/";
         "perf/image-decode/";
         "perf/fetch-sim/";
+        "perf/compile/";
+        "perf/emulate/";
         "perf/scheme-build/";
         "perf/sweep/";
       ]
@@ -810,7 +857,8 @@ let write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~sweep_rows =
 
 let run_perf () =
   Printf.printf
-    "CCCS perf — decode, fetch replay, scheme build and sweep wall-clock\n%s\n"
+    "CCCS perf — decode, fetch replay, compile, emulate, scheme build and \
+     sweep wall-clock\n%s\n"
     (String.make 68 '-');
   let decode_rows = bspan "decode" perf_decode in
   List.iter
@@ -826,9 +874,21 @@ let run_perf () =
   let cores = Cccs.Parallel.cores () in
   let image_rows = bspan "image-decode" (fun () -> perf_image_decode ~cores) in
   let fetch_rows = bspan "fetch-sim" (fun () -> perf_fetch_sim ~cores) in
-  let build_rows = bspan "scheme-build" (fun () -> perf_scheme_build ~cores) in
+  let progs =
+    List.map
+      (fun e ->
+        (Cccs.Workload_run.load e).Cccs.Workload_run.compiled
+          .Cccs.Pipeline.program)
+      Workloads.Suite.all
+  in
+  let compile_row = bspan "compile" (fun () -> perf_compile ~cores progs) in
+  let emulate_row = bspan "emulate" (fun () -> perf_emulate ~cores progs) in
+  let build_rows =
+    bspan "scheme-build" (fun () -> perf_scheme_build ~cores progs)
+  in
   let sweep_rows = bspan "sweep" (fun () -> perf_sweep ~cores) in
-  write_perf decode_rows ~image_rows ~fetch_rows ~build_rows ~sweep_rows
+  write_perf decode_rows ~image_rows ~fetch_rows
+    ~load_rows:[ compile_row; emulate_row ] ~build_rows ~sweep_rows
 
 (* ------------------------------------------------------------------ *)
 (* fuzz group: campaign throughput and bounded-memory trace streaming. *)

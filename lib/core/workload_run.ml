@@ -25,6 +25,11 @@ let calibrate p =
   in
   { p with Workloads.Profile.outer_trips = trips }
 
+let generate (e : Workloads.Suite.entry) =
+  match e.Workloads.Suite.profile with
+  | Some p -> Workloads.Gen.generate (calibrate p)
+  | None -> e.Workloads.Suite.load ()
+
 let load ?obs (e : Workloads.Suite.entry) =
   let cache = cache () in
   match Hashtbl.find_opt cache e.Workloads.Suite.name with
@@ -33,10 +38,7 @@ let load ?obs (e : Workloads.Suite.entry) =
       let w =
         Cccs_obs.Sink.timed ?obs ~stage:Cccs_obs.Event.Lower
           ~label:("lower:" ^ e.Workloads.Suite.name)
-        @@ fun () ->
-        match e.Workloads.Suite.profile with
-        | Some p -> Workloads.Gen.generate (calibrate p)
-        | None -> e.Workloads.Suite.load ()
+        @@ fun () -> generate e
       in
       let compiled = Pipeline.compile ?obs w in
       let exec =

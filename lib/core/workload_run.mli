@@ -34,6 +34,10 @@ val load_all : unit -> run list
     and the design-space example). *)
 val calibrate : Workloads.Profile.t -> Workloads.Profile.t
 
+(** [generate entry] — the program {!load} compiles: the calibrated
+    profile's, or the kernel as written.  Not memoized. *)
+val generate : Workloads.Suite.entry -> Workloads.Gen.result
+
 (** [clear_cache ()] — drop the calling domain's memoized runs (tests,
     cold-cache benchmarking). *)
 val clear_cache : unit -> unit

@@ -12,37 +12,45 @@ let run ?(max_blocks = 2_000_000) ?(mem_size = 65536) ?obs program =
   @@ fun () ->
   let machine = Machine.create ~mem_size () in
   let trace = Trace.create () in
-  let n = Tepic.Program.num_blocks program in
-  let stop = ref None in
-  let pc = ref program.Tepic.Program.entry in
-  let visits = ref 0 in
-  while !stop = None do
-    if !visits >= max_blocks then stop := Some Budget_exhausted
+  let blocks = program.Tepic.Program.blocks in
+  let n = Array.length blocks in
+  let code =
+    Machine.decode
+      (List.concat_map
+         (fun b -> List.map Tepic.Mop.ops b.Tepic.Program.mops)
+         (Array.to_list blocks))
+  in
+  (* Block [b] is MOPs [first_mop.(b)] to [first_mop.(b + 1) - 1]. *)
+  let first_mop = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun b blk ->
+      first_mop.(b + 1) <- first_mop.(b) + Tepic.Program.block_num_mops blk)
+    blocks;
+  let num_ops = Array.map Tepic.Program.block_num_ops blocks in
+  (* [Program.make] admits a branch only as a block's last op, so the
+     block's last MOP decides where control goes. *)
+  let rec visit pc visits =
+    if visits >= max_blocks then Budget_exhausted
     else begin
-      incr visits;
-      let b = Tepic.Program.block program !pc in
-      Trace.add trace !pc;
-      Trace.record_ops trace
-        ~ops:(Tepic.Program.block_num_ops b)
-        ~mops:(Tepic.Program.block_num_mops b);
-      let control = ref Machine.Next in
-      List.iter
-        (fun mop ->
-          let c =
-            Machine.exec_mop machine ~block_id:!pc (Tepic.Mop.ops mop)
-          in
-          match c with Machine.Next -> () | c -> control := c)
-        b.Tepic.Program.mops;
-      match !control with
-      | Machine.Next ->
-          if !pc + 1 >= n then stop := Some Fell_through else incr pc
-      | Machine.Goto t | Machine.Call_to { target = t } -> pc := t
-      | Machine.Return_to t ->
-          if t >= n then stop := Some Fell_through else pc := t
-      | Machine.Halt -> stop := Some Halted
+      let last = first_mop.(pc + 1) - 1 in
+      Trace.add trace pc;
+      Trace.record_ops trace ~ops:num_ops.(pc)
+        ~mops:(last + 1 - first_mop.(pc));
+      for m = first_mop.(pc) to last - 1 do
+        ignore (Machine.step machine code ~block_id:pc m : Machine.branch)
+      done;
+      match Machine.step machine code ~block_id:pc last with
+      | Machine.No_branch ->
+          if pc + 1 >= n then Fell_through else visit (pc + 1) (visits + 1)
+      | Machine.Jump | Machine.Call -> visit (Machine.target code) (visits + 1)
+      | Machine.Return ->
+          let t = Machine.target code in
+          if t < 0 then Halted
+          else if t >= n then Fell_through
+          else visit t (visits + 1)
     end
-  done;
-  let stop = match !stop with Some s -> s | None -> assert false in
+  in
+  let stop = visit program.Tepic.Program.entry 0 in
   Cccs_obs.Sink.gauge ?obs "exec.block_visits"
     (float_of_int (Trace.length trace));
   Cccs_obs.Sink.gauge ?obs "exec.dyn_ops" (float_of_int (Trace.total_ops trace));

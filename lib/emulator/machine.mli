@@ -2,8 +2,9 @@
 
     Execution honours VLIW semantics: every op in a MOP reads the state as
     it was at the start of the cycle, and all writes (including memory)
-    commit together at the end.  Predicated ops whose guard is false commit
-    nothing.  p0 is hard-wired true. *)
+    commit together at the end, in op order, so the last write to a
+    location wins.  Predicated ops whose guard is false commit nothing.
+    p0 is hard-wired true. *)
 
 type t = {
   gpr : int array;
@@ -26,10 +27,42 @@ type control =
   | Return_to of int
   | Halt  (** RET with a negative link value *)
 
-(** [exec_mop t ~block_id ops] executes one MOP.  [block_id] is the id of
-    the executing block; the fall-through/return point recorded by BRL is
-    [block_id + 1].  Returns the control decision of the MOP's branch
-    (evaluated on pre-cycle state), [Next] when there is none. *)
+(** {1 Pre-decoded execution}
+
+    {!decode} turns a run of MOPs into flat arrays once (op class,
+    opcode, guard, destination, sources, immediate and MOP boundaries);
+    {!step} then executes one MOP without matching an [Op.t] or
+    allocating for an integer op, staging its writes in arrays sized by
+    the widest MOP (at least {!Tepic.Mop.issue_width}). *)
+
+(** Decoded MOPs, with the scratch state of the MOP in flight: one [code]
+    serves one execution at a time. *)
+type code
+
+(** [decode mops] decodes [mops], MOP [m] being the [m]-th list.  Raises
+    [Invalid_argument] on a branch-format op whose opcode is no branch. *)
+val decode : Tepic.Op.t list list -> code
+
+(** Outcome of a MOP's branch: the next block (or link) is {!target}. *)
+type branch =
+  | No_branch  (** no branch, or branch not taken / guard false *)
+  | Jump  (** BR, BRCT, BRCF or BRLC taken *)
+  | Call  (** BRL; its link write is committed *)
+  | Return  (** RET: {!target} is the link; negative halts *)
+
+(** [step t code ~block_id m] executes MOP [m] of [code] on [t], as
+    {!exec_mop} does. *)
+val step : t -> code -> block_id:int -> int -> branch
+
+(** [target code] — block id (or return link) of the last branch {!step}
+    took. *)
+val target : code -> int
+
+(** [exec_mop t ~block_id ops] executes one MOP: {!step} on [decode [ops]].
+    [block_id] is the id of the executing block; the fall-through/return
+    point recorded by BRL is [block_id + 1].  Returns the control decision
+    of the MOP's branch (evaluated on pre-cycle state), [Next] when there
+    is none. *)
 val exec_mop : t -> block_id:int -> Tepic.Op.t list -> control
 
 (** [checksum t] — order-sensitive hash of all architectural state, for

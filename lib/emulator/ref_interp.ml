@@ -7,26 +7,33 @@ type result = {
   stop : Exec.stop_reason;
 }
 
+module Vtbl = Hashtbl.Make (struct
+  type t = Ir.vreg
+
+  let equal = Ir.equal_vreg
+  let hash = Hashtbl.hash
+end)
+
 type state = {
-  ints : (Ir.vreg, int) Hashtbl.t;
-  floats : (Ir.vreg, float) Hashtbl.t;
-  preds : (Ir.vreg, bool) Hashtbl.t;
+  ints : int Vtbl.t;
+  floats : float Vtbl.t;
+  preds : bool Vtbl.t;
   mem : int array;
   fmem : float array;
 }
 
-let geti st v = Option.value ~default:0 (Hashtbl.find_opt st.ints v)
-let getf st v = Option.value ~default:0. (Hashtbl.find_opt st.floats v)
+let geti st v = Option.value ~default:0 (Vtbl.find_opt st.ints v)
+let getf st v = Option.value ~default:0. (Vtbl.find_opt st.floats v)
 
 let getp st (v : Ir.vreg) =
   if v.Ir.vid = 0 then true
-  else Option.value ~default:false (Hashtbl.find_opt st.preds v)
+  else Option.value ~default:false (Vtbl.find_opt st.preds v)
 
-let seti st v x = Hashtbl.replace st.ints v (Semantics.wrap32 x)
-let setf st v x = Hashtbl.replace st.floats v x
+let seti st v x = Vtbl.replace st.ints v (Semantics.wrap32 x)
+let setf st v x = Vtbl.replace st.floats v x
 
 let setp st (v : Ir.vreg) x =
-  if v.Ir.vid <> 0 then Hashtbl.replace st.preds v x
+  if v.Ir.vid <> 0 then Vtbl.replace st.preds v x
 
 let exec_inst st (g : Ir.guarded) =
   let enabled = match g.Ir.pred with Some p -> getp st p | None -> true in
@@ -56,9 +63,9 @@ let exec_inst st (g : Ir.guarded) =
 let run ?(max_blocks = 2_000_000) ?(mem_size = 65536) cfg =
   let st =
     {
-      ints = Hashtbl.create 257;
-      floats = Hashtbl.create 257;
-      preds = Hashtbl.create 257;
+      ints = Vtbl.create 257;
+      floats = Vtbl.create 257;
+      preds = Vtbl.create 257;
       mem = Array.make mem_size 0;
       fmem = Array.make mem_size 0.;
     }

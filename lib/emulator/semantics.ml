@@ -22,8 +22,8 @@ let alu (op : Tepic.Opcode.t) a b =
     | SRA -> a asr (b land 31)
     | MOV -> a
     | ABS -> abs a
-    | MIN -> min a b
-    | MAX -> max a b
+    | MIN -> Int.min a b
+    | MAX -> Int.max a b
     | _ -> invalid_arg "Semantics.alu: not an ALU opcode"
   in
   wrap32 r

@@ -7,6 +7,14 @@ let vgpr vid = { vcls = Tepic.Reg.Gpr; vid }
 let vfpr vid = { vcls = Tepic.Reg.Fpr; vid }
 let vpr vid = { vcls = Tepic.Reg.Pr; vid }
 
+let cls_rank : Tepic.Reg.cls -> int = function Gpr -> 0 | Fpr -> 1 | Pr -> 2
+
+let compare_vreg a b =
+  if a.vcls = b.vcls then Int.compare a.vid b.vid
+  else Int.compare (cls_rank a.vcls) (cls_rank b.vcls)
+
+let equal_vreg a b = a.vid = b.vid && a.vcls = b.vcls
+
 let pp_vreg ppf v =
   Format.fprintf ppf "%s%d" (Tepic.Reg.cls_to_string v.vcls) v.vid
 

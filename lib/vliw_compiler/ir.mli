@@ -14,6 +14,12 @@ type vreg = {
 val vgpr : int -> vreg
 val vfpr : int -> vreg
 val vpr : int -> vreg
+
+(** [compare_vreg a b] orders by class ([Gpr < Fpr < Pr]), then by [vid]:
+    the order [Stdlib.compare] gives, without its C call. *)
+val compare_vreg : vreg -> vreg -> int
+
+val equal_vreg : vreg -> vreg -> bool
 val pp_vreg : Format.formatter -> vreg -> unit
 
 type t =

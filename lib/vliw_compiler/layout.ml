@@ -14,7 +14,7 @@ let branch_fits last_cycle (sched_cycles : Ir.guarded list list)
   && List.for_all
        (fun g ->
          match Ir.defs g.Ir.inst with
-         | Some d -> not (List.mem d term_regs)
+         | Some d -> not (List.exists (Ir.equal_vreg d) term_regs)
          | None -> true)
        last_ir
 

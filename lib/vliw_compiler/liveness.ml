@@ -1,7 +1,7 @@
 module VSet = Set.Make (struct
   type t = Ir.vreg
 
-  let compare = Stdlib.compare
+  let compare = Ir.compare_vreg
 end)
 
 type t = {

@@ -3,7 +3,7 @@ module VSet = Liveness.VSet
 module VMap = Map.Make (struct
   type t = Ir.vreg
 
-  let compare = Stdlib.compare
+  let compare = Ir.compare_vreg
 end)
 
 let log_src = Logs.Src.create "cccs.regalloc" ~doc:"Linear-scan allocator"
@@ -43,7 +43,7 @@ let build_intervals cfg =
     match VMap.find_opt v !tbl with
     | Some r ->
         let lo, hi, home = !r in
-        r := (min lo p, max hi p, home)
+        r := (Int.min lo p, Int.max hi p, home)
     | None -> tbl := VMap.add v (ref (p, p, blk)) !tbl
   in
   let n = Cfg.num_blocks cfg in
@@ -68,8 +68,8 @@ let build_intervals cfg =
       { vreg; start; stop; home } :: acc)
     !tbl []
   |> List.sort (fun a b ->
-         if a.start <> b.start then compare a.start b.start
-         else compare a.vreg b.vreg)
+         if a.start <> b.start then Int.compare a.start b.start
+         else Ir.compare_vreg a.vreg b.vreg)
 
 (* Registers a terminator reads or writes anywhere in the program: they must
    not be spilled, because branch units have no memory path. *)
@@ -110,7 +110,7 @@ let scan_group intervals pool unspillable =
   List.iter
     (fun it ->
       expire it.start;
-      peak := max !peak (List.length !active + 1);
+      peak := Int.max !peak (List.length !active + 1);
       if ISet.is_empty !free then begin
         let spillable (_, a) = not (spill_forbidden unspillable a.vreg) in
         let worst =
@@ -239,7 +239,7 @@ let allocate ~allowed ?(group_of_block = fun _ -> 0) ?(precolored = [])
     let intervals = build_intervals cfg in
     let unspillable = unspillable_set cfg in
     let groups =
-      List.sort_uniq compare
+      List.sort_uniq Int.compare
         (List.map (fun it -> group_of_block it.home) intervals)
     in
     let results =
@@ -279,7 +279,7 @@ let allocate ~allowed ?(group_of_block = fun _ -> 0) ?(precolored = [])
           (fun c ->
             let peak =
               List.fold_left
-                (fun m (c', (_, _, p)) -> if c' = c then max m p else m)
+                (fun m (c', (_, _, p)) -> if c' = c then Int.max m p else m)
                 0 results
             in
             (c, peak))
@@ -313,7 +313,7 @@ let allocate ~allowed ?(group_of_block = fun _ -> 0) ?(precolored = [])
           VMap.empty all_spills
       in
       let max_vid =
-        List.fold_left (fun a it -> max a it.vreg.Ir.vid) 0 intervals
+        List.fold_left (fun a it -> Int.max a it.vreg.Ir.vid) 0 intervals
       in
       let cfg = rewrite_spills cfg spill_map (max_vid + 1) in
       attempt cfg (round + 1)

@@ -10,53 +10,62 @@ type t = {
   hoisted : int;
 }
 
+(* An instruction with its destination and guarded sources, listed once
+   per block rather than once per dependence test. *)
+type node = { g : Ir.guarded; defs : Ir.vreg list; uses : Ir.vreg list }
+
+let node g =
+  { g; defs = Option.to_list (Ir.defs g.Ir.inst); uses = Ir.uses_guarded g }
+
 (* Dependence kinds between two instructions, expressed as the minimum
    cycle distance from the earlier to the later one.  0 = may share a
-   cycle (VLIW reads commit before writes). *)
-let min_distance (a : Ir.guarded) (b : Ir.guarded) =
-  let defs g = match Ir.defs g.Ir.inst with Some d -> [ d ] | None -> [] in
-  let inter xs ys = List.exists (fun x -> List.mem x ys) xs in
-  let dist = ref None in
-  let need d = match !dist with Some d' when d' >= d -> () | _ -> dist := Some d in
+   cycle (VLIW reads commit before writes); -1 = independent. *)
+let min_distance a b =
+  let inter xs ys =
+    List.exists (fun x -> List.exists (Ir.equal_vreg x) ys) xs
+  in
   (* RAW: b reads what a writes. *)
-  if inter (defs a) (Ir.uses_guarded b) then need (Ir.latency a.Ir.inst);
+  let raw = if inter a.defs b.uses then Ir.latency a.g.Ir.inst else -1 in
   (* WAW: both write the same register. *)
-  if inter (defs a) (defs b) then need 1;
+  let waw = if inter a.defs b.defs then 1 else -1 in
   (* WAR: b overwrites something a reads — same cycle is fine. *)
-  if inter (Ir.uses_guarded a) (defs b) then need 0;
+  let war = if inter a.uses b.defs then 0 else -1 in
   (* Memory ordering: stores are barriers against later memory ops; a load
      before a store may share its cycle (the load reads pre-cycle memory,
      which is also what original program order produced only if the store
      came later — so keep distance 0 for load->store, 1 for store->X). *)
-  (match (a.Ir.inst, b.Ir.inst) with
-  | Ir.Store _, Ir.Store _ | Ir.Store _, Ir.Load _ -> need 1
-  | Ir.Load _, Ir.Store _ -> need 0
-  | _ -> ());
-  !dist
+  let mem =
+    match (a.g.Ir.inst, b.g.Ir.inst) with
+    | Ir.Store _, (Ir.Store _ | Ir.Load _) -> 1
+    | Ir.Load _, Ir.Store _ -> 0
+    | _ -> -1
+  in
+  Int.max (Int.max raw waw) (Int.max war mem)
 
 let schedule_block (insts : Ir.guarded list) =
   let n = List.length insts in
   if n = 0 then [||]
   else begin
-    let arr = Array.of_list insts in
+    let arr = Array.of_list (List.map node insts) in
     (* succ.(i) = (j, dist) list; pred_count for ready-list scheduling. *)
     let succs = Array.make n [] in
     let npreds = Array.make n 0 in
     let earliest = Array.make n 0 in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        match min_distance arr.(i) arr.(j) with
-        | Some d ->
-            succs.(i) <- (j, d) :: succs.(i);
-            npreds.(j) <- npreds.(j) + 1
-        | None -> ()
+        let d = min_distance arr.(i) arr.(j) in
+        if d >= 0 then begin
+          succs.(i) <- (j, d) :: succs.(i);
+          npreds.(j) <- npreds.(j) + 1
+        end
       done
     done;
     (* Priority: critical-path height. *)
     let height = Array.make n 0 in
     for i = n - 1 downto 0 do
       List.iter
-        (fun (j, d) -> height.(i) <- max height.(i) (height.(j) + max d 1))
+        (fun (j, d) ->
+          height.(i) <- Int.max height.(i) (height.(j) + Int.max d 1))
         succs.(i)
     done;
     let scheduled = Array.make n false in
@@ -83,7 +92,7 @@ let schedule_block (insts : Ir.guarded list) =
         in
         List.iter
           (fun i ->
-            let is_mem = Ir.is_memory arr.(i).Ir.inst in
+            let is_mem = Ir.is_memory arr.(i).g.Ir.inst in
             if !slots > 0 && ((not is_mem) || !mem_slots > 0) then begin
               scheduled.(i) <- true;
               cycle_of.(i) <- !cycle;
@@ -98,12 +107,12 @@ let schedule_block (insts : Ir.guarded list) =
                 (fun (j, d) ->
                   npreds.(j) <- npreds.(j) - 1;
                   let at = if d = 0 then !cycle else !cycle + d in
-                  earliest.(j) <- max earliest.(j) at)
+                  earliest.(j) <- Int.max earliest.(j) at)
                 succs.(i)
             end)
           ready
       done;
-      out := List.rev_map (fun i -> arr.(i)) !this_cycle :: !out;
+      out := List.rev_map (fun i -> arr.(i).g) !this_cycle :: !out;
       incr cycle
     done;
     (* Drop empty trailing/intermediate cycles: the fetch-side metric counts
@@ -139,6 +148,7 @@ let try_hoist ~cfg ~live ~cycles ~parent ~child =
       List.filter (fun s -> s <> child) (Cfg.successors cfg parent)
     in
     let defs_of g = match Ir.defs g.Ir.inst with Some d -> [ d ] | None -> [] in
+    let mem_vreg v vs = List.exists (Ir.equal_vreg v) vs in
     let last_cycle_defs = List.concat_map defs_of last_cycle in
     (* Producer availability: a source defined in an earlier parent cycle at
        distance < latency cannot be read in the last cycle. *)
@@ -148,7 +158,7 @@ let try_hoist ~cfg ~live ~cycles ~parent ~child =
         (fun c ops ->
           List.iter
             (fun g ->
-              if List.mem v (defs_of g) then
+              if mem_vreg v (defs_of g) then
                 if c + Ir.latency g.Ir.inst > last_idx then ok := false)
             ops)
         parent_cycles;
@@ -171,14 +181,14 @@ let try_hoist ~cfg ~live ~cycles ~parent ~child =
             (fun s -> not (VSet.mem d live.Liveness.live_in.(s)))
             other_succs
           (* No WAW with the parent's last cycle or its terminator. *)
-          && (not (List.mem d last_cycle_defs))
-          && (not (List.mem d term_defs))
+          && (not (mem_vreg d last_cycle_defs))
+          && (not (mem_vreg d term_defs))
           (* Sources available in the parent's last cycle. *)
           && List.for_all source_ready (Ir.uses_guarded g)
           (* No same-cycle reader of the old value left behind in child. *)
           && not
                (List.exists
-                  (fun g' -> g' != g && List.mem d (Ir.uses_guarded g'))
+                  (fun g' -> g' != g && mem_vreg d (Ir.uses_guarded g'))
                   first)
     in
     let mem_budget = ref free_mem in
@@ -196,7 +206,7 @@ let try_hoist ~cfg ~live ~cycles ~parent ~child =
                  (List.exists
                     (fun p ->
                       match (Ir.defs p.Ir.inst, Ir.defs g.Ir.inst) with
-                      | Some a, Some b -> a = b
+                      | Some a, Some b -> Ir.equal_vreg a b
                       | _ -> false)
                     picked)
           then begin

@@ -365,6 +365,25 @@ let test_layout_branch_not_with_its_producer () =
       | _ -> ())
     (Tepic.Mop.ops last_mop)
 
+(* Liveness.VSet and Regalloc.VMap order vregs with [Ir.compare_vreg];
+   allocation and the sets it iterates depend on that order matching the
+   structural one. *)
+let prop_vreg_order =
+  let vreg =
+    QCheck.Gen.(
+      map2
+        (fun vcls vid -> { Ir.vcls; vid })
+        (oneofl Tepic.Reg.[ Gpr; Fpr; Pr ])
+        (oneof [ int_range (-2) 2; int ]))
+  in
+  QCheck.Test.make ~name:"compare_vreg = Stdlib.compare" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> Format.asprintf "%a %a" Ir.pp_vreg a Ir.pp_vreg b)
+       (QCheck.Gen.pair vreg vreg))
+    (fun (a, b) ->
+      Int.compare (Ir.compare_vreg a b) 0 = Int.compare (Stdlib.compare a b) 0
+      && Ir.equal_vreg a b = (a = b))
+
 let suite =
   [
     Alcotest.test_case "liveness: diamond" `Quick test_liveness_diamond;
@@ -394,4 +413,5 @@ let suite =
       test_layout_pads_empty_block;
     Alcotest.test_case "layout: branch/cmpp hazard" `Quick
       test_layout_branch_not_with_its_producer;
+    QCheck_alcotest.to_alcotest prop_vreg_order;
   ]

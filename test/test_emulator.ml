@@ -316,6 +316,216 @@ let test_trace_io () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "accepted a bad trace file")
 
+(* --- Pre-decoded execution against the reference loop --- *)
+
+module R = Exec_reference
+
+let check_same_run label (expect : R.result) (got : Emulator.Exec.result) =
+  let trace t = Emulator.Trace.to_array t in
+  Alcotest.(check (array int)) (label ^ ": trace") (trace expect.R.trace)
+    (trace got.Emulator.Exec.trace);
+  Alcotest.(check bool) (label ^ ": stop") true
+    (expect.R.stop = got.Emulator.Exec.stop);
+  check (label ^ ": ops")
+    (Emulator.Trace.total_ops expect.R.trace)
+    (Emulator.Trace.total_ops got.Emulator.Exec.trace);
+  check (label ^ ": mops")
+    (Emulator.Trace.total_mops expect.R.trace)
+    (Emulator.Trace.total_mops got.Emulator.Exec.trace);
+  check (label ^ ": checksum")
+    (Emulator.Machine.checksum expect.R.machine)
+    (Emulator.Machine.checksum got.Emulator.Exec.machine)
+
+(* Every suite program runs as the reference loop runs it, allocating at
+   most one minor word per executed op: nothing per visit, per MOP or per
+   integer op, only an FP op's boxed operands. *)
+let test_suite_programs_match_reference () =
+  List.iter
+    (fun e ->
+      let name = e.Workloads.Suite.name in
+      let prog =
+        (Cccs.Workload_run.load e).Cccs.Workload_run.compiled
+          .Cccs.Pipeline.program
+      in
+      let words0 = Gc.minor_words () in
+      let got = Emulator.Exec.run ~max_blocks:3_000_000 prog in
+      let words = Gc.minor_words () -. words0 in
+      check_same_run name (R.run ~max_blocks:3_000_000 prog) got;
+      let ops = Emulator.Trace.total_ops got.Emulator.Exec.trace in
+      if words > float_of_int ops then
+        Alcotest.failf "%s: %.0f minor words for %d executed ops" name words
+          ops)
+    Workloads.Suite.all
+
+let prop_random_programs_match_reference =
+  QCheck.Test.make ~name:"random programs = reference" ~count:300
+    (QCheck.make
+       ~print:(Format.asprintf "%a" Tepic.Program.pp)
+       (Gen_ops.program ()))
+    (fun prog ->
+      (* A small memory makes addresses wrap; the budget stops loops. *)
+      check_same_run "random"
+        (R.run ~max_blocks:400 ~mem_size:61 prog)
+        (Emulator.Exec.run ~max_blocks:400 ~mem_size:61 prog);
+      true)
+
+let block id mops =
+  { Tepic.Program.id; mops = List.map Tepic.Mop.make mops }
+
+let run_both ?entry name blocks =
+  let prog = Tepic.Program.make ~name ?entry blocks in
+  let got = Emulator.Exec.run ~mem_size:64 prog in
+  check_same_run name (R.run ~mem_size:64 prog) got;
+  got
+
+let test_call_return_programs () =
+  let open Tepic in
+  let ret = Op.branch ~src1:31 ~opcode:Opcode.RET ~target:0 () in
+  (* bb0 calls bb2, which returns to bb1; bb1 sets the link to -1 and
+     falls into bb2, whose RET then halts. *)
+  let got =
+    run_both "negative link"
+      [
+        block 0
+          [ [ Op.ldi ~imm:7 ~dest:1 ();
+              Op.branch ~src1:31 ~opcode:Opcode.BRL ~target:2 () ] ];
+        block 1
+          [ [ Op.ldi ~imm:1 ~dest:2 () ];
+            [ Op.alu ~opcode:Opcode.SUB ~src1:0 ~src2:2 ~dest:31 () ] ];
+        block 2
+          [ [ Op.alu ~opcode:Opcode.ADD ~src1:1 ~src2:1 ~dest:3 () ]; [ ret ] ];
+      ]
+  in
+  Alcotest.(check (array int)) "visits" [| 0; 2; 1; 2 |]
+    (Emulator.Trace.to_array got.Emulator.Exec.trace);
+  Alcotest.(check bool) "halted" true
+    (got.Emulator.Exec.stop = Emulator.Exec.Halted);
+  check "callee ran" 14 got.Emulator.Exec.machine.Emulator.Machine.gpr.(3);
+  (* The last block calls bb0, so the link is the block count: the
+     return falls through. *)
+  let got =
+    run_both ~entry:1 "link = block count"
+      [
+        block 0 [ [ ret ] ];
+        block 1 [ [ Op.branch ~src1:31 ~opcode:Opcode.BRL ~target:0 () ] ];
+      ]
+  in
+  Alcotest.(check (array int)) "visits" [| 1; 0 |]
+    (Emulator.Trace.to_array got.Emulator.Exec.trace);
+  Alcotest.(check bool) "fell through" true
+    (got.Emulator.Exec.stop = Emulator.Exec.Fell_through);
+  let got =
+    run_both "link past the end"
+      [
+        block 0 [ [ Op.ldi ~imm:5 ~dest:31 () ]; [ ret ] ];
+        block 1 [ [ Op.ldi ~imm:1 ~dest:1 () ] ];
+      ]
+  in
+  Alcotest.(check bool) "fell through" true
+    (got.Emulator.Exec.stop = Emulator.Exec.Fell_through);
+  check "bb1 skipped" 0 got.Emulator.Exec.machine.Emulator.Machine.gpr.(1)
+
+let test_fp_memory_program () =
+  let open Tepic in
+  let got =
+    run_both "TCS=1"
+      [
+        block 0
+          [
+            [ Op.ldi ~imm:10 ~dest:1 (); Op.ldi ~imm:3 ~dest:2 () ];
+            [ Op.fpu ~opcode:Opcode.ITOF ~src1:2 ~src2:0 ~dest:4 () ];
+            [ Op.store ~tcs:1 ~opcode:Opcode.SW ~src1:1 ~src2:4 () ];
+            [ Op.load ~tcs:1 ~opcode:Opcode.LW ~src1:1 ~dest:5 ();
+              Op.load ~opcode:Opcode.LW ~src1:1 ~dest:6 () ];
+            [ Op.fpu ~opcode:Opcode.FTOI ~src1:5 ~src2:0 ~dest:7 () ];
+          ];
+      ]
+  in
+  let m = got.Emulator.Exec.machine in
+  Alcotest.(check (float 0.)) "fmem" 3. m.Emulator.Machine.fmem.(10);
+  Alcotest.(check (float 0.)) "fpr loaded" 3. m.Emulator.Machine.fpr.(5);
+  check "integer view untouched" 0 m.Emulator.Machine.gpr.(6);
+  check "converted back" 3 m.Emulator.Machine.gpr.(7)
+
+(* [one_mop set ops] runs [ops] as one MOP on a fresh machine prepared by
+   [set], through [exec_mop] and through the reference, and returns the
+   machine once both agree on the control decision and the state. *)
+let one_mop ?(block_id = 0) set ops =
+  let m = mk_machine () and r = mk_machine () in
+  set m;
+  set r;
+  let c = Emulator.Machine.exec_mop m ~block_id ops in
+  Alcotest.(check bool) "control" true
+    (c = R.Machine.exec_mop r ~block_id ops);
+  check "state" (Emulator.Machine.checksum r) (Emulator.Machine.checksum m);
+  (m, c)
+
+let test_mop_reads_old_state () =
+  let open Tepic in
+  let module M = Emulator.Machine in
+  (* A predicate set in the MOP does not guard its later ops yet. *)
+  let m, _ =
+    one_mop
+      (fun m -> m.M.pr.(3) <- false)
+      [ Op.cmpp ~opcode:Opcode.CMPP_EQ ~src1:0 ~src2:0 ~dest:3 ();
+        Op.ldi ~pred:3 ~imm:99 ~dest:1 () ]
+  in
+  Alcotest.(check bool) "predicate set" true m.M.pr.(3);
+  check "guarded by the old predicate" 0 m.M.gpr.(1);
+  (* A load reads the word a store of the same MOP replaces. *)
+  let m, _ =
+    one_mop
+      (fun m ->
+        m.M.gpr.(1) <- 10;
+        m.M.gpr.(2) <- 42;
+        m.M.mem.(10) <- 7)
+      [ Op.store ~opcode:Opcode.SW ~src1:1 ~src2:2 ();
+        Op.load ~opcode:Opcode.LW ~src1:1 ~dest:3 () ]
+  in
+  check "load sees the old word" 7 m.M.gpr.(3);
+  check "store committed" 42 m.M.mem.(10);
+  (* BRLC's decrement is invisible to the other ops of its MOP. *)
+  let m, c =
+    one_mop
+      (fun m -> m.M.gpr.(7) <- 2)
+      [ Op.alu ~opcode:Opcode.MOV ~src1:7 ~src2:0 ~dest:1 ();
+        Op.branch ~counter:7 ~opcode:Opcode.BRLC ~target:4 () ]
+  in
+  check "old counter read" 2 m.M.gpr.(1);
+  check "counter decremented" 1 m.M.gpr.(7);
+  Alcotest.(check bool) "loop taken" true (c = M.Goto 4)
+
+let test_mop_last_write_wins () =
+  let open Tepic in
+  let module M = Emulator.Machine in
+  let m, _ =
+    one_mop
+      (fun m ->
+        m.M.gpr.(1) <- 10;
+        m.M.gpr.(2) <- 5;
+        m.M.gpr.(3) <- 6)
+      [ Op.ldi ~imm:5 ~dest:4 ();
+        Op.ldi ~imm:6 ~dest:4 ();
+        Op.store ~opcode:Opcode.SW ~src1:1 ~src2:2 ();
+        Op.store ~opcode:Opcode.SW ~src1:1 ~src2:3 () ]
+  in
+  check "register: later op" 6 m.M.gpr.(4);
+  check "memory: later op" 6 m.M.mem.(10)
+
+(* Memory words are 32-bit: a store commits its data wrapped, even when
+   the register was set from outside the machine. *)
+let test_store_wraps () =
+  let open Tepic in
+  let module M = Emulator.Machine in
+  let m, _ =
+    one_mop
+      (fun m ->
+        m.M.gpr.(1) <- 10;
+        m.M.gpr.(2) <- 0x1_0000_0005)
+      [ Op.store ~opcode:Opcode.SW ~src1:1 ~src2:2 () ]
+  in
+  check "wrapped word" 5 m.M.mem.(10)
+
 let suite =
   [
     Alcotest.test_case "wrap32" `Quick test_wrap32;
@@ -339,4 +549,15 @@ let suite =
     Alcotest.test_case "fir kernel terminates" `Quick test_fir_computes_fir;
     Alcotest.test_case "kernels: machine vs reference" `Quick
       test_ref_interp_matches_machine_on_kernels;
+    Alcotest.test_case "13 suite programs = reference loop" `Quick
+      test_suite_programs_match_reference;
+    QCheck_alcotest.to_alcotest prop_random_programs_match_reference;
+    Alcotest.test_case "call and return programs = reference loop" `Quick
+      test_call_return_programs;
+    Alcotest.test_case "TCS=1 program = reference loop" `Quick
+      test_fp_memory_program;
+    Alcotest.test_case "MOP ops read pre-cycle state" `Quick
+      test_mop_reads_old_state;
+    Alcotest.test_case "MOP last write wins" `Quick test_mop_last_write_wins;
+    Alcotest.test_case "store commits a 32-bit word" `Quick test_store_wraps;
   ]
