@@ -525,9 +525,8 @@ let perf_image_decode ~cores =
         !elapsed /. float_of_int !reps
       in
       (* Best of three windows: noise only ever slows a window. *)
-      let seconds =
-        List.fold_left Float.min (window ()) [ window (); window () ]
-      in
+      let samples = List.init 3 (fun _ -> window ()) in
+      let seconds = fastest samples in
       let bytes = String.length sc.Encoding.Scheme.image in
       (* Compressed bytes through the decoder. *)
       let mb_per_s = float_of_int bytes /. seconds /. 1e6 in
@@ -542,6 +541,7 @@ let perf_image_decode ~cores =
             ("cores", int cores);
             ("compressed_bytes", int bytes);
             ("decoded_bytes", int (String.length out));
+            ("samples", Arr (List.map (fun x -> Num x) samples));
           ]))
     schemes
 
@@ -717,20 +717,14 @@ let perf_scheme_build ~cores progs =
 let never_lose_factor = 1.15
 
 (* One cold-cache sweep: fig5 + fig13 for the whole SPEC set in a single
-   Parallel.map, so the parallel run duplicates no work against the
+   Experiments.sweep, so the parallel run duplicates no work against the
    sequential one (each workload is loaded, encoded and simulated exactly
    once per sweep in both modes). *)
 let sweep_once ~jobs =
   Cccs.Workload_run.clear_cache ();
   Cccs.Experiments.clear_cache ();
   let t0 = mono_s () in
-  let rows =
-    Cccs.Parallel.map ~jobs
-      (fun e ->
-        let r = Cccs.Workload_run.load e in
-        (Cccs.Experiments.fig5_for r, Cccs.Experiments.fig13_for r))
-      Workloads.Suite.spec
-  in
+  let rows = Cccs.Experiments.(sweep ~jobs (fun r -> (fig5_for r, fig13_for r))) in
   (rows, mono_s () -. t0)
 
 (* perf/sweep/jobs{1,4}: three alternating jobs=1 / jobs=4 pairs, so a
@@ -768,7 +762,12 @@ let perf_sweep ~cores =
   let samples l = ("samples", Arr (List.map (fun x -> Num x) l)) in
   [
     Obj
-      [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1); samples sweep1 ];
+      [
+        ("name", Str "perf/sweep/jobs1");
+        ("seconds", Num s1);
+        ("cores", int cores);
+        samples sweep1;
+      ];
     Obj
       [
         ("name", Str "perf/sweep/jobs4");
@@ -818,8 +817,8 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~image_rows ~fetch_rows ~load_rows ~build_rows
-    ~sweep_rows =
+let write_perf ~cores decode_rows ~image_rows ~fetch_rows ~load_rows
+    ~build_rows ~sweep_rows =
   let open Cccs_obs.Json in
   let decode_json d =
     Obj
@@ -830,6 +829,7 @@ let write_perf decode_rows ~image_rows ~fetch_rows ~load_rows ~build_rows
         ("seed_mb_per_s", Num d.seed_mb_s);
         ("speedup_vs_serial", Num (d.table_mb_s /. d.serial_mb_s));
         ("speedup_vs_seed", Num (d.table_mb_s /. d.seed_mb_s));
+        ("cores", int cores);
         ("samples", Arr (List.map (fun x -> Num x) d.table_windows));
       ]
   in
@@ -887,7 +887,7 @@ let run_perf () =
     bspan "scheme-build" (fun () -> perf_scheme_build ~cores progs)
   in
   let sweep_rows = bspan "sweep" (fun () -> perf_sweep ~cores) in
-  write_perf decode_rows ~image_rows ~fetch_rows
+  write_perf ~cores decode_rows ~image_rows ~fetch_rows
     ~load_rows:[ compile_row; emulate_row ] ~build_rows ~sweep_rows
 
 (* ------------------------------------------------------------------ *)

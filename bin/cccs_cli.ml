@@ -574,11 +574,18 @@ let verify_cmd =
           a + x.rom.detected + x.table.detected + x.cache.detected)
         0 faults.Cccs.Faults.rows
     in
+    (* Trace-backed WCET: every scheme needs a finite bound that the
+       simulator replay stays within.  Its diagnostics stand in for the
+       structural timing pass, which would build the same cache
+       classification again. *)
+    let wcet = Cccs.Analysis.wcet_run r in
+    let wcet_diags = List.concat_map fst wcet in
     (* Each pass runs on its own, so each column reads its own pass. *)
     let target = Cccs.Analysis.target_of_run r in
     let passes =
       List.map
-        (fun (module P : Cccs.Analysis.Pass.S) -> (P.name, P.run target))
+        (fun (module P : Cccs.Analysis.Pass.S) ->
+          (P.name, if P.name = "timing" then wcet_diags else P.run target))
         Cccs.Analysis.passes
     in
     let diags = List.concat_map snd passes in
@@ -587,10 +594,7 @@ let verify_cmd =
       not (List.exists Diag.is_error (List.assoc name passes))
     in
     let pass_failed name = Diag.failed_schemes (List.assoc name passes) in
-    (* Trace-backed WCET: every scheme needs a finite bound that the
-       simulator replay stays within. *)
-    let wcet = Cccs.Analysis.wcet_run r in
-    let wcet_errors = List.filter Diag.is_error (List.concat_map fst wcet) in
+    let wcet_errors = List.filter Diag.is_error wcet_diags in
     let bounds = List.filter_map snd wcet in
     let unsound (w : Cccs.Analysis.Timing_check.wcet) =
       if Option.fold ~none:false ~some:(fun f -> f >= 1.0) w.ratio then None
@@ -655,9 +659,7 @@ let verify_cmd =
               columns))
         row.seconds
     in
-    ( row,
-      List.map (fun d -> "  " ^ Diag.to_string d) (errors @ wcet_errors)
-      @ [ line ] )
+    (row, List.map (fun d -> "  " ^ Diag.to_string d) errors @ [ line ])
   in
   let run () entries json =
     let jobs = Cccs.Parallel.default_jobs () in
@@ -985,7 +987,7 @@ let wcet_cmd =
                   let open Cccs.Analysis.Timing_check in
                   [
                     ("name", Str w.scheme);
-                    ("model", Str (model_name w.model));
+                    ("model", Str (Fetch.Sim.model_name w.model));
                     ("bound", int w.bound);
                     ( "sim_cycles",
                       match w.sim_cycles with Some n -> int n | None -> Null );
@@ -1564,8 +1566,11 @@ let stats_cmd =
 
 let export_cmd =
   let run (() : unit) () =
-    (* CSV on stdout: one section per figure, ready for any plotting tool. *)
-    let rows5 = Cccs.Experiments.fig5 () in
+    (* CSV on stdout: one section per figure, ready for any plotting tool,
+       from one sweep. *)
+    let rows5, rows13 =
+      List.split Cccs.Experiments.(sweep (fun r -> (fig5_for r, fig13_for r)))
+    in
     print_endline "# fig5: bench,scheme,ratio";
     List.iter
       (fun (r : Cccs.Experiments.fig5_row) ->
@@ -1573,6 +1578,9 @@ let export_cmd =
           (fun (scheme, v) -> Printf.printf "fig5,%s,%s,%.6f\n" r.bench scheme v)
           r.ratios)
       rows5;
+    let models (r : Cccs.Experiments.fig13_row) =
+      [ r.ideal; r.base; r.compressed; r.tailored ]
+    in
     print_endline "# fig13: bench,model,ipc,cycles,l1_misses,mispredicts";
     List.iter
       (fun (r : Cccs.Experiments.fig13_row) ->
@@ -1581,15 +1589,15 @@ let export_cmd =
             Printf.printf "fig13,%s,%s,%.6f,%d,%d,%d\n" r.bench
               res.Fetch.Sim.model res.Fetch.Sim.ipc res.Fetch.Sim.cycles
               res.Fetch.Sim.l1_misses res.Fetch.Sim.mispredicts)
-          [ r.ideal; r.base; r.compressed; r.tailored ])
-      (Cccs.Experiments.fig13 ());
+          (models r))
+      rows13;
     print_endline "# fig14: bench,model,bus_flips";
     List.iter
       (fun (r : Cccs.Experiments.fig14_row) ->
         List.iter
           (fun (m, f) -> Printf.printf "fig14,%s,%s,%d\n" r.bench m f)
           r.flips)
-      (Cccs.Experiments.fig14 ());
+      (List.map Cccs.Experiments.fig14_of rows13);
     (* Full simulator records, one row per (bench, model): every counter in
        Fetch.Sim.result, including the six fault/recovery fields. *)
     print_endline ("# sim: bench," ^ Fetch.Sim.csv_header);
@@ -1597,8 +1605,8 @@ let export_cmd =
       (fun (r : Cccs.Experiments.fig13_row) ->
         List.iter
           (fun res -> Printf.printf "sim,%s,%s\n" r.bench (Fetch.Sim.csv_row res))
-          [ r.ideal; r.base; r.compressed; r.tailored ])
-      (Cccs.Experiments.fig13 ())
+          (models r))
+      rows13
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Dump figure data as CSV for external plotting")
@@ -1633,21 +1641,22 @@ let () =
       stats_cmd;
       export_cmd;
       fig_cmd "fig5" "Reproduce Figure 5 (compression ratios)" (fun ppf ->
-          Cccs.Report.fig5 ppf (Cccs.Experiments.fig5 ()));
+          Cccs.Report.fig5 ppf Cccs.Experiments.(sweep fig5_for));
       fig_cmd "fig7" "Reproduce Figure 7 (total size with ATT)" (fun ppf ->
-          Cccs.Report.fig7 ppf (Cccs.Experiments.fig7 ()));
+          Cccs.Report.fig7 ppf Cccs.Experiments.(sweep fig7_for));
       fig_cmd "fig10" "Reproduce Figure 10 (decoder complexity)" (fun ppf ->
-          Cccs.Report.fig10 ppf (Cccs.Experiments.fig10 ()));
+          Cccs.Report.fig10 ppf Cccs.Experiments.(sweep fig10_for));
       fig_cmd "fig13" "Reproduce Figure 13 (IPC cache study)" (fun ppf ->
-          Cccs.Report.fig13 ppf (Cccs.Experiments.fig13 ()));
+          Cccs.Report.fig13 ppf Cccs.Experiments.(sweep fig13_for));
       fig_cmd "fig14" "Reproduce Figure 14 (bus bit flips)" (fun ppf ->
-          Cccs.Report.fig14 ppf (Cccs.Experiments.fig14 ()));
+          Cccs.Report.fig14 ppf
+            Cccs.Experiments.(sweep (fun r -> fig14_of (fig13_for r))));
       fig_cmd "ablation" "Hit-time vs miss-time decompression" (fun ppf ->
-          Cccs.Report.ablation ppf (Cccs.Experiments.ablation ()));
+          Cccs.Report.ablation ppf Cccs.Experiments.(sweep ablation_for));
       fig_cmd "predictors" "2-bit vs gshare prediction (extension)" (fun ppf ->
-          Cccs.Report.predictors ppf (Cccs.Experiments.predictors ()));
+          Cccs.Report.predictors ppf Cccs.Experiments.(sweep predictors_for));
       fig_cmd "superblocks" "Superblock fetch units (extension)" (fun ppf ->
-          Cccs.Report.superblocks ppf (Cccs.Experiments.superblocks ()));
+          Cccs.Report.superblocks ppf Cccs.Experiments.(sweep superblocks_for));
       fig_cmd "all" "Reproduce every figure and extension" (fun ppf ->
           Cccs.Report.all ppf ());
     ]

@@ -183,11 +183,6 @@ let severity_of_code code =
   | Some (_, sev, _) -> sev
   | None -> invalid_arg (Printf.sprintf "Diag: unregistered code %s" code)
 
-let describe code =
-  match List.find_opt (fun (c, _, _) -> c = code) registry with
-  | Some (_, _, doc) -> doc
-  | None -> invalid_arg (Printf.sprintf "Diag: unregistered code %s" code)
-
 let make ~code ~loc message =
   { code; severity = severity_of_code code; loc; message }
 

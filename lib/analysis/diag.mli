@@ -42,9 +42,6 @@ val registry : (string * severity * string) list
 
 val severity_of_code : string -> severity
 
-(** [describe code] is the registry's one-line summary. *)
-val describe : string -> string
-
 val is_error : t -> bool
 
 (** [failed_schemes diags] — the schemes the errors among [diags] are
@@ -53,7 +50,6 @@ val is_error : t -> bool
 val failed_schemes : t list -> string list
 
 val pp_severity : Format.formatter -> severity -> unit
-val pp_loc : Format.formatter -> loc -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -137,44 +137,6 @@ let analyze_resync strategy image (blocks : Abstract_decoder.block list) =
     worst_block = !worst_block;
   }
 
-(* [resync_scheme] — the W107 machinery standalone: decode the first
-   [blocks] blocks cleanly and sweep every payload bit.  [Ok None] means
-   the scheme is not Huffman-coded (fixed layouts re-align at every op)
-   or has no decodable blocks; [Error] carries the first decode failure. *)
-let resync_scheme ~program ?tailored ?(blocks = 4) (sc : Encoding.Scheme.t) =
-  match Abstract_decoder.strategy_of_scheme ?tailored ~program sc with
-  | Error msg -> Error msg
-  | Ok strategy -> (
-      match strategy with
-      | Abstract_decoder.Byte _ | Abstract_decoder.Stream _
-      | Abstract_decoder.Full _ -> (
-          let frame = sc.Encoding.Scheme.frame in
-          let image = sc.Encoding.Scheme.image in
-          let r = Bits.Reader.of_string image in
-          let n = min blocks (Tepic.Program.num_blocks program) in
-          let rec go i acc =
-            if i >= n then Ok (List.rev acc)
-            else
-              let start = sc.Encoding.Scheme.block_offset_bits.(i) in
-              let op_count =
-                Tepic.Program.block_num_ops (Tepic.Program.block program i)
-              in
-              match
-                Abstract_decoder.decode_block strategy ~frame r ~index:i
-                  ~start ~op_count
-              with
-              | Error (bit, e) ->
-                  Error
-                    (Printf.sprintf "block %d: bit %d: %s" i bit
-                       (Abstract_decoder.error_to_string e))
-              | Ok blk -> go (i + 1) (blk :: acc)
-          in
-          match go 0 [] with
-          | Error _ as e -> e
-          | Ok [] -> Ok None
-          | Ok blks -> Ok (Some (analyze_resync strategy image blks)))
-      | _ -> Ok None)
-
 (* ---- codebook completeness (E106) --------------------------------- *)
 
 let check_books

@@ -43,19 +43,5 @@ val check :
   Encoding.Scheme.t list ->
   Diag.t list
 
-val resync_scheme :
-  program:Tepic.Program.t ->
-  ?tailored:Encoding.Tailored.spec ->
-  ?blocks:int ->
-  Encoding.Scheme.t ->
-  (resync_summary option, string) result
-(** The W107 resynchronization machinery standalone: abstract-decode the
-    first [blocks] (default 4) blocks of a Huffman-coded scheme, flip
-    every payload bit in turn and re-decode, measuring how far a
-    single-bit fault desynchronizes the codeword stream.  [Ok None] for
-    fixed-layout schemes (they re-align at every op) or when no block
-    decodes; [Error] describes the first clean-decode failure.  The
-    empirical counterpart of {!Certify}'s proven [resync_bits]. *)
-
 val pass : (module Pass.S)
 (** Registry entry ("image"): {!check} over a {!Pass.target}. *)

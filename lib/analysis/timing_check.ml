@@ -43,24 +43,6 @@ type wcet = {
   trace_bounds : bool;  (* visit counts from the trace, not the default *)
 }
 
-let model_name = function
-  | Fetch.Config.Base -> "base"
-  | Fetch.Config.Tailored -> "tailored"
-  | Fetch.Config.Compressed -> "compressed"
-
-(* The fig13 model mapping: the baseline layout fetches uncompressed code
-   from the 20 KB cache, the tailored ISA from the 16 KB cache with its
-   extra miss stage, everything else is cached compressed with the L0
-   buffer on the hit path. *)
-let model_of_scheme = function
-  | "base" -> Fetch.Config.Base
-  | "tailored" -> Fetch.Config.Tailored
-  | _ -> Fetch.Config.Compressed
-
-let config_of_model = function
-  | Fetch.Config.Base -> Fetch.Config.default_base
-  | Fetch.Config.Tailored | Fetch.Config.Compressed -> Fetch.Config.default
-
 (* ------------------------------------------------------------------ *)
 (* Structural loop bounds: SCC peeling.                                *)
 
@@ -183,8 +165,7 @@ let analyze_scheme ~workload ~program ?tailored ?strategy ?trace
   let emit ?block ~code msg =
     diags := Diag.make ~code ~loc:(Diag.loc ~scheme ?block workload) msg :: !diags
   in
-  let model = model_of_scheme scheme in
-  let fetch_cfg = config_of_model model in
+  let model, fetch_cfg = Fetch.Config.of_scheme scheme in
   let compressed = model = Fetch.Config.Compressed in
   let nblocks = Tepic.Program.num_blocks program in
   let offsets = sc.Encoding.Scheme.block_offset_bits in

@@ -23,7 +23,7 @@
 
 type wcet = {
   scheme : string;
-  model : Fetch.Config.model;
+  model : Fetch.Config.model;  (** {!Fetch.Config.of_scheme} [scheme] *)
   bound : int;  (** static fetch-cycle bound over the charged visits *)
   sim_cycles : int option;  (** simulator replay, when a trace was given *)
   ratio : float option;  (** bound / simulated; sound means >= 1.0 *)
@@ -37,15 +37,6 @@ type wcet = {
   trace_bounds : bool;
       (** visit counts from the trace; false = declared default bound *)
 }
-
-val model_name : Fetch.Config.model -> string
-
-(** The fig13 model mapping: ["base"] fetches uncompressed from the 20 KB
-    baseline cache, ["tailored"] from the 16 KB cache with the extra miss
-    stage, everything else is cached compressed. *)
-val model_of_scheme : string -> Fetch.Config.model
-
-val config_of_model : Fetch.Config.model -> Fetch.Config.t
 
 (** [analyze_scheme ~workload ~program sc] — diagnostics plus the bound
     record; [None] only when no finite bound exists (CCCS-E300).

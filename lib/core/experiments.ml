@@ -46,29 +46,36 @@ let all_schemes s =
 
 let every_scheme s = all_schemes s @ [ ("dict", s.dict) ]
 
+(* [replay ?cfg r name sc] — the replay of [r]'s trace through the scheme
+   [sc] named [name], on the model and cache [Config.of_scheme name] gives
+   it ([cfg] replaces the cache), and the ATT it reads, built on first
+   use. *)
+let replay ?cfg (r : Workload_run.run) name sc =
+  let model, scheme_cfg = Fetch.Config.of_scheme name in
+  let cfg = Option.value cfg ~default:scheme_cfg in
+  let att =
+    lazy
+      (Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits
+         r.Workload_run.compiled.Pipeline.program)
+  in
+  ( att,
+    fun ?obs () ->
+      Fetch.Sim.run ?obs ~model ~cfg ~scheme:sc ~att:(Lazy.force att)
+        r.Workload_run.exec.Emulator.Exec.trace )
+
 (* The four Figure 13 fetch models.  The ideal and base models share one
-   ATT, built on first use. *)
+   ATT. *)
 let fetch_models (r : Workload_run.run) =
   let s = schemes_of r in
-  let prog = r.Workload_run.compiled.Pipeline.program in
-  let trace = r.Workload_run.exec.Emulator.Exec.trace in
-  let cfg = Fetch.Config.default in
-  let cfg_base = Fetch.Config.default_base in
-  let att sc c =
-    lazy (Encoding.Att.build sc ~line_bits:c.Fetch.Config.line_bits prog)
-  in
-  let att_base = att s.base cfg_base in
-  let run model cfg sc att ?obs () =
-    Fetch.Sim.run ?obs ~model ~cfg ~scheme:sc ~att:(Lazy.force att) trace
-  in
+  let att_base, base = replay r "base" s.base in
   [
     ( "ideal",
-      fun ?obs () -> Fetch.Sim.run_ideal ?obs ~att:(Lazy.force att_base) trace
-    );
-    ("base", run Fetch.Config.Base cfg_base s.base att_base);
-    ("compressed", run Fetch.Config.Compressed cfg s.full (att s.full cfg));
-    ( "tailored",
-      run Fetch.Config.Tailored cfg s.tailored (att s.tailored cfg) );
+      fun ?obs () ->
+        Fetch.Sim.run_ideal ?obs ~att:(Lazy.force att_base)
+          r.Workload_run.exec.Emulator.Exec.trace );
+    ("base", base);
+    ("compressed", snd (replay r "full" s.full));
+    ("tailored", snd (replay r "tailored" s.tailored));
   ]
 
 type verdict = {
@@ -101,13 +108,12 @@ let verify (r : Workload_run.run) =
         (every_scheme (schemes_of r));
   }
 
-(* Every figure driver maps a pure per-run row function over the SPEC set.
-   [sweep ?jobs f] is the shared harness: workloads are loaded inside the
+(* Every figure is a pure per-run row function mapped over the SPEC set.
+   [sweep ?jobs f] is the one harness: workloads are loaded inside the
    mapped task so a parallel sweep compiles, executes and encodes each
    workload entirely within one worker domain (per-domain memo tables make
    this race-free); with [jobs = 1] — the default unless CCCS_JOBS is set —
-   it degrades to exactly the old sequential drivers, reusing the calling
-   domain's caches. *)
+   it runs in the calling domain, reusing its caches. *)
 let sweep ?jobs f =
   Parallel.map ?jobs (fun e -> f (Workload_run.load e)) Workloads.Suite.spec
 
@@ -129,7 +135,35 @@ let fig5_for (r : Workload_run.run) =
         (all_schemes s);
   }
 
-let fig5 ?jobs () = sweep ?jobs fig5_for
+(* ------------------------------------------------------------------ *)
+
+type fig13_row = {
+  bench : string;
+  ideal : Fetch.Sim.result;
+  base : Fetch.Sim.result;
+  compressed : Fetch.Sim.result;
+  tailored : Fetch.Sim.result;
+}
+
+let fig13_cache_key : (string, fig13_row) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 17)
+
+(* Figure 7's ATB miss rate, the ablation's hit-time row, the predictor
+   study's 2-bit row and the superblock study's basic-block rows are this
+   row's replays: the memo runs each once per program. *)
+let fig13_for (r : Workload_run.run) =
+  let fig13_cache = Domain.DLS.get fig13_cache_key in
+  match Hashtbl.find_opt fig13_cache r.Workload_run.name with
+  | Some row -> row
+  | None ->
+      let row =
+        match List.map (fun (_, run) -> run ?obs:None ()) (fetch_models r) with
+        | [ ideal; base; compressed; tailored ] ->
+            { bench = r.Workload_run.name; ideal; base; compressed; tailored }
+        | _ -> assert false (* fetch_models lists exactly these four *)
+      in
+      Hashtbl.replace fig13_cache r.Workload_run.name row;
+      row
 
 (* ------------------------------------------------------------------ *)
 
@@ -143,13 +177,11 @@ type fig7_row = {
 let fig7_for (r : Workload_run.run) =
   let s = schemes_of r in
   let prog = r.Workload_run.compiled.Pipeline.program in
-  let cfg = Fetch.Config.default in
+  let line_bits = Fetch.Config.default.Fetch.Config.line_bits in
   let totals =
     List.map
       (fun (name, sc) ->
-        let att =
-          Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits prog
-        in
+        let att = Encoding.Att.build sc ~line_bits prog in
         let total =
           sc.Encoding.Scheme.code_bits + sc.Encoding.Scheme.table_bits
           + att.Encoding.Att.compressed_bits
@@ -159,13 +191,7 @@ let fig7_for (r : Workload_run.run) =
           Encoding.Att.overhead att ~code_bits:sc.Encoding.Scheme.code_bits ))
       (all_schemes s)
   in
-  let att_full =
-    Encoding.Att.build s.full ~line_bits:cfg.Fetch.Config.line_bits prog
-  in
-  let sim =
-    Fetch.Sim.run ~model:Fetch.Config.Compressed ~cfg ~scheme:s.full
-      ~att:att_full r.Workload_run.exec.Emulator.Exec.trace
-  in
+  let sim = (fig13_for r).compressed in
   {
     bench = r.Workload_run.name;
     base_bits = s.base.Encoding.Scheme.code_bits;
@@ -174,8 +200,6 @@ let fig7_for (r : Workload_run.run) =
       float_of_int sim.Fetch.Sim.atb_misses
       /. float_of_int (max 1 sim.Fetch.Sim.block_visits);
   }
-
-let fig7 ?jobs () = sweep ?jobs fig7_for
 
 (* ------------------------------------------------------------------ *)
 
@@ -196,37 +220,6 @@ let fig10_for (r : Workload_run.run) =
         (all_schemes s);
   }
 
-let fig10 ?jobs () = sweep ?jobs fig10_for
-
-(* ------------------------------------------------------------------ *)
-
-type fig13_row = {
-  bench : string;
-  ideal : Fetch.Sim.result;
-  base : Fetch.Sim.result;
-  compressed : Fetch.Sim.result;
-  tailored : Fetch.Sim.result;
-}
-
-let fig13_cache_key : (string, fig13_row) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 17)
-
-let fig13_for (r : Workload_run.run) =
-  let fig13_cache = Domain.DLS.get fig13_cache_key in
-  match Hashtbl.find_opt fig13_cache r.Workload_run.name with
-  | Some row -> row
-  | None ->
-      let row =
-        match List.map (fun (_, run) -> run ?obs:None ()) (fetch_models r) with
-        | [ ideal; base; compressed; tailored ] ->
-            { bench = r.Workload_run.name; ideal; base; compressed; tailored }
-        | _ -> assert false (* fetch_models lists exactly these four *)
-      in
-      Hashtbl.replace fig13_cache r.Workload_run.name row;
-      row
-
-let fig13 ?jobs () = sweep ?jobs fig13_for
-
 (* ------------------------------------------------------------------ *)
 
 type fig14_row = {
@@ -234,8 +227,7 @@ type fig14_row = {
   flips : (string * int) list;
 }
 
-let fig14_for (r : Workload_run.run) =
-  let row = fig13_for r in
+let fig14_of (row : fig13_row) =
   {
     bench = row.bench;
     flips =
@@ -246,7 +238,7 @@ let fig14_for (r : Workload_run.run) =
       ];
   }
 
-let fig14 ?jobs () = sweep ?jobs fig14_for
+(* ------------------------------------------------------------------ *)
 
 type ablation_row = {
   bench : string;
@@ -257,22 +249,17 @@ type ablation_row = {
 let ablation_for (r : Workload_run.run) =
   let s = schemes_of r in
   let prog = r.Workload_run.compiled.Pipeline.program in
-  let trace = r.Workload_run.exec.Emulator.Exec.trace in
   let cfg = Fetch.Config.default in
   let comp_att =
     Encoding.Att.build s.full ~line_bits:cfg.Fetch.Config.line_bits prog
   in
   {
     bench = r.Workload_run.name;
-    hit_time =
-      Fetch.Sim.run ~model:Fetch.Config.Compressed ~cfg ~scheme:s.full
-        ~att:comp_att trace;
+    hit_time = (fig13_for r).compressed;
     miss_time =
       Fetch.Ablation.run ~cfg ~base_scheme:s.base ~comp_scheme:s.full
-        ~comp_att trace;
+        ~comp_att r.Workload_run.exec.Emulator.Exec.trace;
   }
-
-let ablation ?jobs () = sweep ?jobs ablation_for
 
 type predictor_row = {
   bench : string;
@@ -281,27 +268,15 @@ type predictor_row = {
 }
 
 let predictors_for (r : Workload_run.run) =
-  let s = schemes_of r in
-  let prog = r.Workload_run.compiled.Pipeline.program in
-  let trace = r.Workload_run.exec.Emulator.Exec.trace in
-  let run cfg =
-    let att =
-      Encoding.Att.build s.full ~line_bits:cfg.Fetch.Config.line_bits prog
-    in
-    Fetch.Sim.run ~model:Fetch.Config.Compressed ~cfg ~scheme:s.full ~att trace
+  let cfg =
+    { Fetch.Config.default with Fetch.Config.predictor = Fetch.Config.Gshare 12 }
   in
+  let _, gshare = replay ~cfg r "full" (schemes_of r).full in
   {
     bench = r.Workload_run.name;
-    two_bit = run Fetch.Config.default;
-    gshare =
-      run
-        {
-          Fetch.Config.default with
-          Fetch.Config.predictor = Fetch.Config.Gshare 12;
-        };
+    two_bit = (fig13_for r).compressed;
+    gshare = gshare ();
   }
-
-let predictors ?jobs () = sweep ?jobs predictors_for
 
 type superblock_row = {
   bench : string;
@@ -315,29 +290,23 @@ type superblock_row = {
 let superblocks_for (r : Workload_run.run) =
   let s = schemes_of r in
   let prog = r.Workload_run.compiled.Pipeline.program in
-  let trace = r.Workload_run.exec.Emulator.Exec.trace in
   let units = Fetch.Superblock.form prog in
   let _, mean_unit_blocks = Fetch.Superblock.stats units in
-  let cfg = Fetch.Config.default in
-  let cfg_base = Fetch.Config.default_base in
-  let att sc c =
-    Encoding.Att.build sc ~line_bits:c.Fetch.Config.line_bits prog
+  let sb name sc =
+    let model, cfg = Fetch.Config.of_scheme name in
+    Fetch.Superblock.run ~model ~cfg ~scheme:sc
+      ~att:(Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits prog)
+      units r.Workload_run.exec.Emulator.Exec.trace
   in
   let row13 = fig13_for r in
   {
     bench = r.Workload_run.name;
     mean_unit_blocks;
     bb_base = row13.base;
-    sb_base =
-      Fetch.Superblock.run ~model:Fetch.Config.Base ~cfg:cfg_base
-        ~scheme:s.base ~att:(att s.base cfg_base) units trace;
+    sb_base = sb "base" s.base;
     bb_compressed = row13.compressed;
-    sb_compressed =
-      Fetch.Superblock.run ~model:Fetch.Config.Compressed ~cfg
-        ~scheme:s.full ~att:(att s.full cfg) units trace;
+    sb_compressed = sb "full" s.full;
   }
-
-let superblocks ?jobs () = sweep ?jobs superblocks_for
 
 let clear_cache () =
   Hashtbl.reset (Domain.DLS.get scheme_cache_key);

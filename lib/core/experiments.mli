@@ -1,15 +1,18 @@
-(** Reproduction drivers, one per table/figure of the paper's evaluation.
+(** Reproduction drivers, one row function per table/figure of the
+    paper's evaluation.
 
-    Every function returns structured rows; the bench harness and the CLI
-    render them.  All results are memoized per domain through
-    {!Workload_run} and {!schemes_of}.
+    Every row function takes one loaded program and returns its row; the
+    bench harness and the CLI render them.  All results are memoized per
+    domain through {!Workload_run}, {!schemes_of} and {!fig13_for}.
 
-    Each driver takes [?jobs] and distributes the workload sweep over a
-    {!Parallel} pool ([jobs] defaults to [Parallel.default_jobs ()], i.e.
-    the [CCCS_JOBS] environment variable, else sequential).  The row
-    functions are deterministic, so parallel output is identical to the
-    sequential run; workloads are loaded inside the worker, so each domain
-    compiles and memoizes its own share. *)
+    {!sweep} maps row functions over the eight SPEC programs on a
+    {!Parallel} pool.  The row functions are deterministic, so parallel
+    output is identical to the sequential run; workloads are loaded
+    inside the worker, so each domain compiles and memoizes its own
+    share.  A command that prints several tables computes all of a
+    program's rows in one task of one sweep: a worker domain starts with
+    empty memos, so a second sweep would load, encode and replay every
+    program again. *)
 
 (** All encoding schemes built for one workload, memoized per domain. *)
 type schemes = {
@@ -38,7 +41,8 @@ val every_scheme : schemes -> (string * Encoding.Scheme.t) list
 (** [fetch_models r] — the four Figure 13 fetch models of one workload,
     named ["ideal"], ["base"], ["compressed"] and ["tailored"] in that
     order, each a run of the workload's trace that reports to [obs] when
-    given one. *)
+    given one.  [base], [full] and [tailored] run on the model and cache
+    of {!Fetch.Config.of_scheme}. *)
 val fetch_models :
   Workload_run.run ->
   (string * (?obs:Cccs_obs.Sink.t -> unit -> Fetch.Sim.result)) list
@@ -60,6 +64,12 @@ type verdict = {
     [cccs verify]. *)
 val verify : Workload_run.run -> verdict
 
+(** [sweep ?jobs f] — [f] over the eight SPEC programs in suite order,
+    each program loaded inside its task, on a {!Parallel} pool of [jobs]
+    domains (default [Parallel.default_jobs ()], i.e. [CCCS_JOBS], else
+    sequential). *)
+val sweep : ?jobs:int -> (Workload_run.run -> 'a) -> 'a list
+
 (** {1 Figure 5 — compression ratio, code segment only} *)
 
 type fig5_row = {
@@ -67,10 +77,7 @@ type fig5_row = {
   ratios : (string * float) list;  (** scheme name -> ratio vs baseline *)
 }
 
-(** [fig5_for r] — one row; exported for the perf bench and tests. *)
 val fig5_for : Workload_run.run -> fig5_row
-
-val fig5 : ?jobs:int -> unit -> fig5_row list
 
 (** {1 Figure 7 — total code size with the ATT, and ATB behaviour} *)
 
@@ -79,10 +86,11 @@ type fig7_row = {
   base_bits : int;
   schemes_total : (string * int * float) list;
       (** scheme, code+table+ATT bits, ATT overhead ratio *)
-  atb_miss_rate : float;  (** ATB misses per block visit (full scheme run) *)
+  atb_miss_rate : float;
+      (** ATB misses per block visit of Figure 13's compressed replay *)
 }
 
-val fig7 : ?jobs:int -> unit -> fig7_row list
+val fig7_for : Workload_run.run -> fig7_row
 
 (** {1 Figure 10 — Huffman decoder complexity} *)
 
@@ -91,7 +99,7 @@ type fig10_row = {
   decoders : (string * Encoding.Scheme.decoder_info) list;
 }
 
-val fig10 : ?jobs:int -> unit -> fig10_row list
+val fig10_for : Workload_run.run -> fig10_row
 
 (** {1 Figure 13 — instructions delivered per cycle} *)
 
@@ -103,11 +111,9 @@ type fig13_row = {
   tailored : Fetch.Sim.result;
 }
 
-(** [fig13_for r] — one row, memoized per domain; exported for the perf
-    bench and tests. *)
+(** [fig13_for r] — one row, memoized per domain: the replays Figure 7,
+    the ablation, the predictor study and the superblock study share. *)
 val fig13_for : Workload_run.run -> fig13_row
-
-val fig13 : ?jobs:int -> unit -> fig13_row list
 
 (** {1 Figure 14 — memory bus bit flips} *)
 
@@ -116,7 +122,9 @@ type fig14_row = {
   flips : (string * int) list;  (** model -> total flips *)
 }
 
-val fig14 : ?jobs:int -> unit -> fig14_row list
+(** [fig14_of row] — the bus flips of Figure 13's base, compressed and
+    tailored replays. *)
+val fig14_of : fig13_row -> fig14_row
 
 (** {1 Ablation — decompress at hit time vs at miss time}
 
@@ -127,11 +135,12 @@ val fig14 : ?jobs:int -> unit -> fig14_row list
 
 type ablation_row = {
   bench : string;
-  hit_time : Fetch.Sim.result;  (** the paper's organization *)
+  hit_time : Fetch.Sim.result;
+      (** the paper's organization: Figure 13's compressed replay *)
   miss_time : Fetch.Sim.result;  (** CodePack-style alternative *)
 }
 
-val ablation : ?jobs:int -> unit -> ablation_row list
+val ablation_for : Workload_run.run -> ablation_row
 
 (** {1 Extension — branch predictor study (the paper's future work)}
 
@@ -140,11 +149,11 @@ val ablation : ?jobs:int -> unit -> ablation_row list
 
 type predictor_row = {
   bench : string;
-  two_bit : Fetch.Sim.result;
+  two_bit : Fetch.Sim.result;  (** Figure 13's compressed replay *)
   gshare : Fetch.Sim.result;  (** 12 history bits *)
 }
 
-val predictors : ?jobs:int -> unit -> predictor_row list
+val predictors_for : Workload_run.run -> predictor_row
 
 (** {1 Extension — superblock fetch units (the paper's future work)}
 
@@ -161,7 +170,7 @@ type superblock_row = {
   sb_compressed : Fetch.Sim.result;
 }
 
-val superblocks : ?jobs:int -> unit -> superblock_row list
+val superblocks_for : Workload_run.run -> superblock_row
 
 (** [clear_cache ()] — reset the calling domain's memoized results
     (tests, cold-cache benchmarking). *)

@@ -82,9 +82,6 @@ type spec = {
 
 type t = { spec : spec; rows : scheme_report list }
 
-let ops_equal a b =
-  try List.for_all2 Tepic.Op.equal a b with Invalid_argument _ -> false
-
 (* Last block whose frame covers absolute image bit [k]; [None] for bits in
    the inter-block byte padding. *)
 let block_of_bit offsets sizes k =
@@ -135,7 +132,7 @@ let rom_campaign ?obs rng ~flips (sc : Encoding.Scheme.t) reference =
             incr detected;
             emit_ev trial b (fun () ->
                 Cccs_obs.Event.Fault_detect { surface = "rom" })
-        | Ok ops when ops_equal ops (reference b) ->
+        | Ok ops when Tepic.Op.equal_list ops (reference b) ->
             incr benign;
             emit_ev trial b (fun () ->
                 Cccs_obs.Event.Fault_benign { surface = "rom" })
@@ -270,15 +267,9 @@ let schedule_line_events rng ~flips (sc : Encoding.Scheme.t) trace =
     arr
   end
 
-let model_of_scheme name =
-  match name with
-  | "base" -> (Fetch.Config.Base, Fetch.Config.default_base)
-  | "tailored" -> (Fetch.Config.Tailored, Fetch.Config.default)
-  | _ -> (Fetch.Config.Compressed, Fetch.Config.default)
-
 let cache_campaign ?obs rng ~flips ~retries (name, (sc : Encoding.Scheme.t))
     prog trace =
-  let model, cfg = model_of_scheme name in
+  let model, cfg = Fetch.Config.of_scheme name in
   let att = Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits prog in
   let reference b = Tepic.Program.block_ops (Tepic.Program.block prog b) in
   let faults =
@@ -385,24 +376,3 @@ let run ?obs ?jobs spec =
 
 let silent_total row =
   row.rom.silent + row.table.silent + row.cache.silent
-
-let sweep ?jobs ~bench ~seed ~retries ~protection ~per_kilobit () =
-  let entry =
-    match Workloads.Suite.find bench with
-    | Some e -> e
-    | None -> failwith (Printf.sprintf "Faults.sweep: unknown bench %S" bench)
-  in
-  let r = Workload_run.load entry in
-  let s = Experiments.schemes_of r in
-  let kilobits =
-    float_of_int s.Experiments.full.Encoding.Scheme.code_bits /. 1000.
-  in
-  (* Densities fan out across the pool; the inner [run] then degrades to
-     sequential inside a worker (nested-parallelism guard). *)
-  Parallel.map ?jobs
-    (fun density ->
-      let flips =
-        max 1 (int_of_float (Float.round (density *. kilobits)))
-      in
-      (density, run { bench; seed; flips; retries; protection }))
-    per_kilobit

@@ -46,8 +46,6 @@ type counts = {
   recovery_cycles : int;  (** cycles spent in the recovery loop *)
 }
 
-val zero_counts : counts
-
 (** [coverage c] — detected / (detected + silent); 1.0 when nothing was
     exposed. *)
 val coverage : counts -> float
@@ -95,18 +93,3 @@ val run : ?obs:Cccs_obs.Sink.t -> ?jobs:int -> spec -> t
 (** [silent_total row] — silent corruptions summed over all three
     surfaces (the CI gate checks this is 0 in protected mode). *)
 val silent_total : scheme_report -> int
-
-(** [sweep ?jobs ~bench ~seed ~retries ~protection ~per_kilobit ()] — one
-    campaign per flip density; the trial count for density [d] is [d]
-    flips per kilobit of the full scheme's code segment.  Densities fan
-    out over the {!Parallel} pool; the nested per-scheme parallelism of
-    {!run} degrades to sequential inside a worker. *)
-val sweep :
-  ?jobs:int ->
-  bench:string ->
-  seed:int ->
-  retries:int ->
-  protection:Encoding.Scheme.protection ->
-  per_kilobit:float list ->
-  unit ->
-  (float * t) list

@@ -259,15 +259,43 @@ let faults ppf (t : Faults.t) =
      CRC framing must drive sdc to 0 — single-bit errors are in every CRC\'s@.\
      detected class — at the ovh%% cost in compression ratio.@.@."
 
+(* One program's row of every table but Figure 14, which is read off
+   Figure 13's. *)
+type rows = {
+  r5 : Experiments.fig5_row;
+  r7 : Experiments.fig7_row;
+  r10 : Experiments.fig10_row;
+  r13 : Experiments.fig13_row;
+  ra : Experiments.ablation_row;
+  rp : Experiments.predictor_row;
+  rs : Experiments.superblock_row;
+}
+
+(* One sweep: each task computes all of its program's rows, so a worker
+   loads, encodes and replays its programs once. *)
 let all ppf () =
-  fig5 ppf (Experiments.fig5 ());
-  fig7 ppf (Experiments.fig7 ());
-  fig10 ppf (Experiments.fig10 ());
-  fig13 ppf (Experiments.fig13 ());
-  fig14 ppf (Experiments.fig14 ());
-  ablation ppf (Experiments.ablation ());
-  predictors ppf (Experiments.predictors ());
-  superblocks ppf (Experiments.superblocks ())
+  let rows =
+    Experiments.(
+      sweep (fun r ->
+          {
+            r5 = fig5_for r;
+            r7 = fig7_for r;
+            r10 = fig10_for r;
+            r13 = fig13_for r;
+            ra = ablation_for r;
+            rp = predictors_for r;
+            rs = superblocks_for r;
+          }))
+  in
+  let col f = List.map f rows in
+  fig5 ppf (col (fun r -> r.r5));
+  fig7 ppf (col (fun r -> r.r7));
+  fig10 ppf (col (fun r -> r.r10));
+  fig13 ppf (col (fun r -> r.r13));
+  fig14 ppf (col (fun r -> Experiments.fig14_of r.r13));
+  ablation ppf (col (fun r -> r.ra));
+  predictors ppf (col (fun r -> r.rp));
+  superblocks ppf (col (fun r -> r.rs))
 
 (* One line per scheme of one workload: the static bound, the simulated
    replay, the bound/simulated ratio and the classification census. *)
@@ -283,8 +311,7 @@ let wcet ppf rows =
         (fun (w : Cccs_analysis.Timing_check.wcet) ->
           Format.fprintf ppf "%-10s %-10s %10d %10s %7s %5d %5d %5d %5d@."
             w.Cccs_analysis.Timing_check.scheme
-            (Cccs_analysis.Timing_check.model_name
-               w.Cccs_analysis.Timing_check.model)
+            (Fetch.Sim.model_name w.Cccs_analysis.Timing_check.model)
             w.Cccs_analysis.Timing_check.bound
             (match w.Cccs_analysis.Timing_check.sim_cycles with
             | Some c -> string_of_int c

@@ -25,5 +25,6 @@ val wcet :
   (string * Cccs_analysis.Timing_check.wcet list) list ->
   unit
 
-(** [all ppf ()] — run and print every experiment plus the ablation. *)
+(** [all ppf ()] — run and print every experiment plus the ablation, in
+    one {!Experiments.sweep}. *)
 val all : Format.formatter -> unit -> unit

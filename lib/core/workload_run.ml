@@ -51,5 +51,4 @@ let load ?obs (e : Workloads.Suite.entry) =
       r
 
 let load_spec () = List.map load Workloads.Suite.spec
-let load_all () = List.map load Workloads.Suite.all
 let clear_cache () = Hashtbl.reset (cache ())

@@ -27,9 +27,6 @@ val load : ?obs:Cccs_obs.Sink.t -> Workloads.Suite.entry -> run
 (** [load_spec ()] — the paper's eight-benchmark evaluation set. *)
 val load_spec : unit -> run list
 
-(** [load_all ()] — SPEC set plus kernels. *)
-val load_all : unit -> run list
-
 (** [calibrate p] — the rescaled profile actually run (exposed for tests
     and the design-space example). *)
 val calibrate : Workloads.Profile.t -> Workloads.Profile.t

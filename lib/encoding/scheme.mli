@@ -107,7 +107,6 @@ type decode_error = {
   reason : string;
 }
 
-val pp_decode_error : Format.formatter -> decode_error -> unit
 val decode_error_to_string : decode_error -> string
 
 (** [payload_bits t i] — block [i]'s framed payload size: [block_bits]

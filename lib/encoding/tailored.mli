@@ -65,9 +65,6 @@ val field_map : spec -> string -> dense_map
     format [kind]. *)
 val field_width : spec -> Tepic.Opcode.kind -> Tepic.Format_spec.field -> int
 
-(** [header_bits spec] — T + optional S + OPT + OPCODE prefix width. *)
-val header_bits : spec -> int
-
 val build : Tepic.Program.t -> Scheme.t
 
 (** [build_with_spec program] — also return the derived specification

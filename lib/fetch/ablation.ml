@@ -69,26 +69,18 @@ let run ~cfg ~base_scheme ~comp_scheme ~(comp_att : Encoding.Att.t) trace =
       prev := b)
     trace;
   {
-    Sim.model = "codepack";
+    Sim.zero with
+    model = "codepack";
     cycles = !cycles;
     ops_delivered = !ops;
     mops_delivered = !mops;
     block_visits = Emulator.Trace.length trace;
-    ipc =
-      (if !cycles = 0 then 0. else float_of_int !ops /. float_of_int !cycles);
+    ipc = Sim.ipc ~ops:!ops ~cycles:!cycles;
     l1_hits = !l1_hits;
     l1_misses = !l1_misses;
-    l0_hits = 0;
-    l0_misses = 0;
     mispredicts = !mispredicts;
     atb_misses = Atb.misses atb;
     lines_fetched = !lines_fetched;
     bus_flips = Bus.total_flips bus;
     bus_beats = Bus.total_beats bus;
-    faults_injected = 0;
-    faults_detected = 0;
-    faults_corrected = 0;
-    silent_corruptions = 0;
-    machine_checks = 0;
-    recovery_cycles = 0;
   }

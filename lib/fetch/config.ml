@@ -29,6 +29,14 @@ let default_base = { default with cache_bytes = 20 * 1024 }
 
 type model = Base | Tailored | Compressed
 
+(* The baseline layout fetches uncompressed code from the 20 KB cache, the
+   tailored ISA from the 16 KB cache with its extra miss stage, and every
+   Huffman or dictionary image is cached compressed behind the L0 buffer. *)
+let of_scheme = function
+  | "base" -> (Base, default_base)
+  | "tailored" -> (Tailored, default)
+  | _ -> (Compressed, default)
+
 (* Table 1 of the paper, transcribed.  [n] is the number of memory lines
    needed to fetch the whole block. *)
 let penalty model ~predicted ~cache_hit ~buffer_hit ~lines =

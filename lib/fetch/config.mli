@@ -38,6 +38,13 @@ val default_base : t
 (** Fetch-model flavour, selecting a Table 1 column. *)
 type model = Base | Tailored | Compressed
 
+(** [of_scheme name] — the model and cache that fetch the scheme named
+    [name] in Figure 13: ["base"] runs as [Base] on {!default_base},
+    ["tailored"] as [Tailored] on {!default}, and every other scheme as
+    [Compressed] on {!default}.  The figures, the fault campaigns and
+    the static timing analysis all take their model from here. *)
+val of_scheme : string -> model * t
+
 (** [penalty model ~predicted ~cache_hit ~buffer_hit ~lines] — Table 1,
     verbatim: cycles until the block's first MOP issues.  [lines] is the
     table's [n].  [buffer_hit] is meaningful only for [Compressed]. *)

@@ -38,19 +38,37 @@ let model_name = function
   | Config.Tailored -> "tailored"
   | Config.Compressed -> "compressed"
 
-let ops_equal a b =
-  try List.for_all2 Tepic.Op.equal a b with Invalid_argument _ -> false
+let zero =
+  {
+    model = "";
+    cycles = 0;
+    ops_delivered = 0;
+    mops_delivered = 0;
+    block_visits = 0;
+    ipc = 0.;
+    l1_hits = 0;
+    l1_misses = 0;
+    l0_hits = 0;
+    l0_misses = 0;
+    mispredicts = 0;
+    atb_misses = 0;
+    lines_fetched = 0;
+    bus_flips = 0;
+    bus_beats = 0;
+    faults_injected = 0;
+    faults_detected = 0;
+    faults_corrected = 0;
+    silent_corruptions = 0;
+    machine_checks = 0;
+    recovery_cycles = 0;
+  }
+
+let ipc ~ops ~cycles =
+  if cycles = 0 then 0. else float_of_int ops /. float_of_int cycles
 
 (* What a checked decode of a delivered block reports. *)
 type outcome = Clean | Silent | Detected
 
-(* Instrumentation sites below all follow the same shape:
-
-     match obs with Some s -> Sink.emit s (Event.Fetch {...}) | None -> ()
-
-   so that the event value is only ever constructed when a sink is
-   installed — a plain run allocates nothing and the results are
-   bit-identical with and without [?obs] (the sink never feeds back). *)
 let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
     iter_blocks =
   let num_blocks = Array.length att.Encoding.Att.entries in
@@ -78,6 +96,18 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
   let silent = ref 0 and traps = ref 0 and recovery = ref 0 in
   let line_flips : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   let visit = ref 0 and ev_i = ref 0 in
+  (* Every event of the stream goes through [emit], and every call sits
+     under [if tracing], so a run without a sink builds no event value.
+     The sink never feeds back: results are bit-identical with and
+     without one. *)
+  let tracing = Option.is_some obs in
+  let emit block ev =
+    match obs with
+    | Some s ->
+        Cccs_obs.Sink.emit s
+          (Cccs_obs.Event.Fetch { cycle = !cycles; visit = !visit; block; ev })
+    | None -> ()
+  in
   let rom_dirty =
     match faults with
     | None -> [||]
@@ -116,15 +146,23 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
         in
         let o =
           match f.decode_check img b with
-          | Ok ops when ops_equal ops (f.reference b) -> Clean
+          | Ok ops when Tepic.Op.equal_list ops (f.reference b) -> Clean
           | Ok _ -> Silent
           | Error _ -> Detected
         in
         Hashtbl.add outcomes key o;
         o
   in
+  let silent_delivery b =
+    incr silent;
+    if tracing then emit b (Cccs_obs.Event.Fault_silent { surface = "cache" })
+  in
   let line_beats =
     (cfg.Config.line_bits + cfg.Config.bus_bits - 1) / cfg.Config.bus_bits
+  in
+  let entry_beats =
+    (Int.max 0 att.Encoding.Att.entry_bits + cfg.Config.bus_bits - 1)
+    / cfg.Config.bus_bits
   in
   (* Memory traffic for block [blk]'s span: the lines missing before the
      touch cross the bus, and a refill overwrites any upset in them. *)
@@ -133,13 +171,8 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
       if not (Line_cache.line_resident cache line) then begin
         let flips = Bus.fetch_line bus line in
         Hashtbl.remove line_flips line;
-        match obs with
-        | Some s ->
-            Cccs_obs.Sink.emit s
-              (Cccs_obs.Event.Fetch
-                 { cycle = !cycles; visit = !visit; block = blk;
-                   ev = Cccs_obs.Event.Bus_beat { beats = line_beats; flips } })
-        | None -> ()
+        if tracing then
+          emit blk (Cccs_obs.Event.Bus_beat { beats = line_beats; flips })
       end
     done;
     lines_fetched := !lines_fetched + Line_cache.touch_block cache ~first ~last
@@ -162,13 +195,7 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
             let line = bit / cfg.Config.line_bits in
             if Line_cache.line_resident cache line then begin
               incr injected;
-              (match obs with
-              | Some s ->
-                  Cccs_obs.Sink.emit s
-                    (Cccs_obs.Event.Fetch
-                       { cycle = !cycles; visit = !visit; block = b;
-                         ev = Cccs_obs.Event.Fault_inject { bit } })
-              | None -> ());
+              if tracing then emit b (Cccs_obs.Event.Fault_inject { bit });
               let prior =
                 Option.value ~default:[] (Hashtbl.find_opt line_flips line)
               in
@@ -183,40 +210,21 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
           let ok = !predicted_next = b in
           if not ok then begin
             incr mispredicts;
-            match obs with
-            | Some s ->
-                Cccs_obs.Sink.emit s
-                  (Cccs_obs.Event.Fetch
-                     { cycle = !cycles; visit = !visit; block = b;
-                       ev = Cccs_obs.Event.Mispredict })
-            | None -> ()
+            if tracing then emit b Cccs_obs.Event.Mispredict
           end;
           Atb.update atb !prev ~next:b;
           ok
         end
       in
       (* 2. ATB lookup for the new block. *)
-      let atb_hit = Atb.lookup atb b in
-      if not atb_hit then begin
+      if not (Atb.lookup atb b) then begin
         cycles := !cycles + cfg.Config.atb_miss_penalty;
         let flips = Bus.fetch_extra_bits bus att.Encoding.Att.entry_bits in
-        match obs with
-        | Some s ->
-            let bw = cfg.Config.bus_bits in
-            let beats =
-              (Int.max 0 att.Encoding.Att.entry_bits + bw - 1) / bw
-            in
-            Cccs_obs.Sink.emit s
-              (Cccs_obs.Event.Fetch
-                 { cycle = !cycles; visit = !visit; block = b;
-                   ev =
-                     Cccs_obs.Event.Atb_miss
-                       { penalty = cfg.Config.atb_miss_penalty } });
-            Cccs_obs.Sink.emit s
-              (Cccs_obs.Event.Fetch
-                 { cycle = !cycles; visit = !visit; block = b;
-                   ev = Cccs_obs.Event.Bus_beat { beats; flips } })
-        | None -> ignore flips
+        if tracing then begin
+          emit b
+            (Cccs_obs.Event.Atb_miss { penalty = cfg.Config.atb_miss_penalty });
+          emit b (Cccs_obs.Event.Bus_beat { beats = entry_beats; flips })
+        end
       end;
       (* 3. Cache and buffer state.  L0 has priority: on a buffer hit the
          L1 is not consulted. *)
@@ -224,41 +232,23 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
       let cache_hit = buffer_hit || Line_cache.refresh cache ~first ~last in
       if not buffer_hit then begin
         if cache_hit then incr l1_hits else incr l1_misses;
-        (match obs with
-        | Some s ->
-            Cccs_obs.Sink.emit s
-              (Cccs_obs.Event.Fetch
-                 { cycle = !cycles; visit = !visit; block = b;
-                   ev =
-                     (if cache_hit then Cccs_obs.Event.L1_hit
-                      else
-                        let lines = ref 0 in
-                        for l = first to last do
-                          if not (Line_cache.line_resident cache l) then
-                            incr lines
-                        done;
-                        Cccs_obs.Event.L1_miss { lines = !lines }) })
-        | None -> ());
+        if tracing then
+          emit b
+            (if cache_hit then Cccs_obs.Event.L1_hit
+             else
+               let lines = ref 0 in
+               for l = first to last do
+                 if not (Line_cache.line_resident cache l) then incr lines
+               done;
+               Cccs_obs.Event.L1_miss { lines = !lines });
         if not cache_hit then fill b ~first ~last;
         if compressed then begin
           L0_buffer.insert l0 b ~ops:e.Encoding.Att.ops;
-          match obs with
-          | Some s ->
-              Cccs_obs.Sink.emit s
-                (Cccs_obs.Event.Fetch
-                   { cycle = !cycles; visit = !visit; block = b;
-                     ev = Cccs_obs.Event.L0_fill { ops = e.Encoding.Att.ops } })
-          | None -> ()
+          if tracing then
+            emit b (Cccs_obs.Event.L0_fill { ops = e.Encoding.Att.ops })
         end
       end
-      else
-        (match obs with
-        | Some s ->
-            Cccs_obs.Sink.emit s
-              (Cccs_obs.Event.Fetch
-                 { cycle = !cycles; visit = !visit; block = b;
-                   ev = Cccs_obs.Event.L0_hit })
-        | None -> ());
+      else if tracing then emit b Cccs_obs.Event.L0_hit;
       (* 3b. Fault delivery check.  The L0 buffer holds already-decompressed
          MOPs, so a buffer hit bypasses both fault surfaces; every other
          delivery re-reads cached code bits and runs the checked decoder
@@ -283,27 +273,13 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
             !flips <> [] || (Array.length rom_dirty > 0 && rom_dirty.(b))
           in
           if dirty then begin
-            (* [emit_fault] receives a closed constructor function so the
-               event is only built under the [Some] branch. *)
-            let emit_fault mk =
-              match obs with
-              | Some s ->
-                  Cccs_obs.Sink.emit s
-                    (Cccs_obs.Event.Fetch
-                       { cycle = !cycles; visit = !visit; block = b;
-                         ev = mk () })
-              | None -> ()
-            in
             match outcome f b (List.sort compare !flips) with
             | Clean -> ()
-            | Silent ->
-                incr silent;
-                emit_fault (fun () ->
-                    Cccs_obs.Event.Fault_silent { surface = "cache" })
+            | Silent -> silent_delivery b
             | Detected ->
                 incr detected;
-                emit_fault (fun () ->
-                    Cccs_obs.Event.Fault_detect { surface = "cache" });
+                if tracing then
+                  emit b (Cccs_obs.Event.Fault_detect { surface = "cache" });
                 (* Recovery: invalidate the block's lines and refetch from
                    ROM at the full miss penalty; after [max_retries] failed
                    attempts, raise a machine check and deliver nothing. *)
@@ -319,24 +295,16 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
                   in
                   recovery := !recovery + pen;
                   cycles := !cycles + pen;
-                  (match obs with
-                  | Some s ->
-                      Cccs_obs.Sink.emit s
-                        (Cccs_obs.Event.Fetch
-                           { cycle = !cycles; visit = !visit; block = b;
-                             ev = Cccs_obs.Event.Fault_recover { cycles = pen } })
-                  | None -> ());
+                  if tracing then
+                    emit b (Cccs_obs.Event.Fault_recover { cycles = pen });
                   match outcome f b [] with
                   | Clean -> incr corrected
-                  | Silent ->
-                      incr silent;
-                      emit_fault (fun () ->
-                          Cccs_obs.Event.Fault_silent { surface = "cache" })
+                  | Silent -> silent_delivery b
                   | Detected ->
                       if k + 1 < f.max_retries then retry (k + 1)
                       else begin
                         incr traps;
-                        emit_fault (fun () -> Cccs_obs.Event.Machine_check)
+                        if tracing then emit b Cccs_obs.Event.Machine_check
                       end
                 in
                 retry 0
@@ -347,22 +315,15 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
         Config.penalty model ~predicted ~cache_hit ~buffer_hit
           ~lines:e.Encoding.Att.lines
       in
-      (match obs with
-      | Some s ->
-          (* Stamped at delivery start so the slice covers the stall. *)
-          if pen > 1 then
-            Cccs_obs.Sink.emit s
-              (Cccs_obs.Event.Fetch
-                 { cycle = !cycles; visit = !visit; block = b;
-                   ev = Cccs_obs.Event.Decode_stall { cycles = pen - 1 } });
-          Cccs_obs.Sink.emit s
-            (Cccs_obs.Event.Fetch
-               { cycle = !cycles; visit = !visit; block = b;
-                 ev =
-                   Cccs_obs.Event.Deliver
-                     { penalty = pen; ops = e.Encoding.Att.ops;
-                       mops = e.Encoding.Att.mops } })
-      | None -> ());
+      if tracing then begin
+        (* Stamped at delivery start so the slice covers the stall. *)
+        if pen > 1 then
+          emit b (Cccs_obs.Event.Decode_stall { cycles = pen - 1 });
+        emit b
+          (Cccs_obs.Event.Deliver
+             { penalty = pen; ops = e.Encoding.Att.ops;
+               mops = e.Encoding.Att.mops })
+      end;
       cycles := !cycles + pen + (e.Encoding.Att.mops - 1);
       ops := !ops + e.Encoding.Att.ops;
       mops := !mops + e.Encoding.Att.mops;
@@ -382,8 +343,7 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
     ops_delivered = !ops;
     mops_delivered = !mops;
     block_visits = !visit;
-    ipc =
-      (if !cycles = 0 then 0. else float_of_int !ops /. float_of_int !cycles);
+    ipc = ipc ~ops:!ops ~cycles:!cycles;
     l1_hits = !l1_hits;
     l1_misses = !l1_misses;
     l0_hits = L0_buffer.hits l0;
@@ -401,10 +361,10 @@ let run_iter ?faults ?obs ~model ~cfg ~scheme ~(att : Encoding.Att.t)
     recovery_cycles = !recovery;
   }
 
-let run_ideal_iter ?obs ~(att : Encoding.Att.t) iter_blocks =
+let run_ideal ?obs ~(att : Encoding.Att.t) trace =
   let cycles = ref 0 and ops = ref 0 and mops = ref 0 in
   let visit = ref 0 in
-  iter_blocks
+  Emulator.Trace.iter
     (fun b ->
       let e = att.Encoding.Att.entries.(b) in
       (match obs with
@@ -420,38 +380,21 @@ let run_ideal_iter ?obs ~(att : Encoding.Att.t) iter_blocks =
       cycles := !cycles + e.Encoding.Att.mops;
       ops := !ops + e.Encoding.Att.ops;
       mops := !mops + e.Encoding.Att.mops;
-      incr visit);
+      incr visit)
+    trace;
   {
+    zero with
     model = "ideal";
     cycles = !cycles;
     ops_delivered = !ops;
     mops_delivered = !mops;
     block_visits = !visit;
-    ipc =
-      (if !cycles = 0 then 0. else float_of_int !ops /. float_of_int !cycles);
-    l1_hits = 0;
-    l1_misses = 0;
-    l0_hits = 0;
-    l0_misses = 0;
-    mispredicts = 0;
-    atb_misses = 0;
-    lines_fetched = 0;
-    bus_flips = 0;
-    bus_beats = 0;
-    faults_injected = 0;
-    faults_detected = 0;
-    faults_corrected = 0;
-    silent_corruptions = 0;
-    machine_checks = 0;
-    recovery_cycles = 0;
+    ipc = ipc ~ops:!ops ~cycles:!cycles;
   }
 
 let run ?faults ?obs ~model ~cfg ~scheme ~att trace =
   run_iter ?faults ?obs ~model ~cfg ~scheme ~att (fun f ->
       Emulator.Trace.iter f trace)
-
-let run_ideal ?obs ~att trace =
-  run_ideal_iter ?obs ~att (fun f -> Emulator.Trace.iter f trace)
 
 (* Full-record CSV: the one machine-readable path shared by the figure
    exports and the fault campaigns (`cccs export`, section "sim"). *)

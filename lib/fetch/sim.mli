@@ -99,17 +99,14 @@ val run :
 val run_ideal :
   ?obs:Cccs_obs.Sink.t -> att:Encoding.Att.t -> Emulator.Trace.t -> result
 
-(** {1 Streaming entry points}
-
-    [run_iter] and [run_ideal_iter] are [run]/[run_ideal] generalized over
-    a push iterator: [iter_blocks f] must call [f] once per block visit, in
-    trace order.  This is how million-visit traces stream through the
-    simulator in bounded memory — pair with
-    [Workloads.Trace_stream.with_blocks], which replays a chunked on-disk
-    trace without ever materializing it ([run trace] is literally
-    [run_iter (fun f -> Emulator.Trace.iter f trace)]).  [block_visits] in
-    the result counts the calls the iterator actually made. *)
-
+(** [run_iter] is [run] generalized over a push iterator: [iter_blocks f]
+    must call [f] once per block visit, in trace order.  This is how
+    million-visit traces stream through the simulator in bounded memory —
+    pair with [Workloads.Trace_stream.with_blocks], which replays a
+    chunked on-disk trace without ever materializing it ([run trace] is
+    literally [run_iter (fun f -> Emulator.Trace.iter f trace)]).
+    [block_visits] in the result counts the calls the iterator actually
+    made. *)
 val run_iter :
   ?faults:fault_plan ->
   ?obs:Cccs_obs.Sink.t ->
@@ -120,8 +117,17 @@ val run_iter :
   ((int -> unit) -> unit) ->
   result
 
-val run_ideal_iter :
-  ?obs:Cccs_obs.Sink.t -> att:Encoding.Att.t -> ((int -> unit) -> unit) -> result
+(** [model_name m] — the [model] field of [m]'s results: ["base"],
+    ["tailored"] or ["compressed"]. *)
+val model_name : Config.model -> string
+
+(** A result with every count at 0 and an empty [model]: the fetch
+    models that count only some fields ({!Ablation}, {!Superblock},
+    [run_ideal]) write [{ zero with ... }]. *)
+val zero : result
+
+(** [ipc ~ops ~cycles] — ops per cycle, 0 for an empty run. *)
+val ipc : ops:int -> cycles:int -> float
 
 val pp : Format.formatter -> result -> unit
 

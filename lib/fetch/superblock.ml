@@ -174,17 +174,13 @@ let run ~model ~cfg ~scheme ~(att : Encoding.Att.t) t trace =
     prev_exit := !cursor
   done;
   {
-    Sim.model =
-      (match model with
-      | Config.Base -> "base+sb"
-      | Config.Tailored -> "tailored+sb"
-      | Config.Compressed -> "compressed+sb");
+    Sim.zero with
+    model = Sim.model_name model ^ "+sb";
     cycles = !cycles;
     ops_delivered = !ops;
     mops_delivered = !mops;
     block_visits = !unit_visits;
-    ipc =
-      (if !cycles = 0 then 0. else float_of_int !ops /. float_of_int !cycles);
+    ipc = Sim.ipc ~ops:!ops ~cycles:!cycles;
     l1_hits = !l1_hits;
     l1_misses = !l1_misses;
     l0_hits = L0_buffer.hits l0;
@@ -194,10 +190,4 @@ let run ~model ~cfg ~scheme ~(att : Encoding.Att.t) t trace =
     lines_fetched = !lines_fetched;
     bus_flips = Bus.total_flips bus;
     bus_beats = Bus.total_beats bus;
-    faults_injected = 0;
-    faults_detected = 0;
-    faults_corrected = 0;
-    silent_corruptions = 0;
-    machine_checks = 0;
-    recovery_cycles = 0;
   }

@@ -307,9 +307,6 @@ let apply_fault image = function
   | Truncate { bytes } ->
       if bytes >= String.length image then image else String.sub image 0 bytes
 
-let ops_equal a b =
-  try List.for_all2 Tepic.Op.equal a b with Invalid_argument _ -> false
-
 (* The CRC guard provably detects any error burst confined to the payload
    and no wider than the guard word (a CRC of width w catches every burst
    of length <= w).  Faults touching the length field or guard word, or
@@ -441,7 +438,7 @@ let eval_case case =
       | `R prod ->
           if not faulted then begin
             (match prod with
-            | Ok ops when ops_equal ops ref_ops -> ()
+            | Ok ops when Tepic.Op.equal_list ops ref_ops -> ()
             | Ok _ ->
                 finding :=
                   Some
@@ -462,7 +459,7 @@ let eval_case case =
                        }));
             if !finding = None then
               match abstract ref_ops i with
-              | Ok b when ops_equal b.Ad.ops ref_ops -> ()
+              | Ok b when Tepic.Op.equal_list b.Ad.ops ref_ops -> ()
               | Ok _ ->
                   finding :=
                     Some
@@ -486,7 +483,7 @@ let eval_case case =
           end
           else begin
             match prod with
-            | Ok ops when ops_equal ops ref_ops -> ()
+            | Ok ops when Tepic.Op.equal_list ops ref_ops -> ()
             | Ok ops ->
                 roundtrip := false;
                 wrong := true;
@@ -505,7 +502,7 @@ let eval_case case =
                   (* Same bits, same op count: the independent decoder must
                      reach the same wrong ops. *)
                   match abstract ref_ops i with
-                  | Ok b when not (ops_equal b.Ad.ops ops) ->
+                  | Ok b when not (Tepic.Op.equal_list b.Ad.ops ops) ->
                       finding :=
                         Some
                           (Oracle_disagreement

@@ -62,10 +62,6 @@ let make ?max_len ~symbol_bits freq =
 
 let stats t = t.stats
 
-let code_length t sym =
-  let _, l = Canonical.code t.canonical sym in
-  l
-
 let mem t sym = Canonical.mem t.canonical sym
 let write t w sym = Canonical.write t.canonical w sym
 let read t r = Canonical.read t.canonical r

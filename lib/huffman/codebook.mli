@@ -29,10 +29,6 @@ val make : ?max_len:int -> symbol_bits:(int -> int) -> Freq.t -> t
 
 val stats : t -> stats
 
-(** [code_length t sym] is the codeword length for [sym].
-    Raises [Not_found] outside the alphabet. *)
-val code_length : t -> int -> int
-
 val mem : t -> int -> bool
 val write : t -> Bits.Writer.t -> int -> unit
 val read : t -> Bits.Reader.t -> int

@@ -1,4 +1,4 @@
-(* Exporters for the three machine-readable formats the tooling consumes:
+(* Exporters for the two machine-readable formats the tooling consumes:
 
    - [json_of_snapshot] / [jsonl_of_snapshot]: metrics snapshots as one JSON
      object, or as JSON Lines (one self-describing object per metric) for
@@ -6,8 +6,7 @@
    - [chrome_trace]: event streams as Chrome trace-event JSON, loadable in
      ui.perfetto.dev or chrome://tracing (one named track per stream, spans
      as complete "X" events, fetch events as instant "i" events on a cycle
-     timeline where 1 modeled cycle = 1 us);
-   - [histograms_csv]: histogram buckets as CSV rows for plotting. *)
+     timeline where 1 modeled cycle = 1 us). *)
 
 let hist_json h =
   let s = Histogram.summarize h in
@@ -70,21 +69,6 @@ let jsonl_of_snapshot ?(tags = []) snap =
       in
       Buffer.add_string b (Json.to_string (Json.Obj (tags @ fields)));
       Buffer.add_char b '\n')
-    snap;
-  Buffer.contents b
-
-let histograms_csv snap =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "histogram,bucket_lo,bucket_hi,count\n";
-  List.iter
-    (fun (name, it) ->
-      match it with
-      | Metrics.Snap_hist h ->
-          List.iter
-            (fun (lo, hi, n) ->
-              Buffer.add_string b (Printf.sprintf "%s,%d,%d,%d\n" name lo hi n))
-            (Histogram.nonzero_buckets h)
-      | _ -> ())
     snap;
   Buffer.contents b
 

@@ -1,5 +1,5 @@
 (** Exporters: metrics snapshots as a JSON object or JSON Lines, event
-    streams as Chrome trace-event / Perfetto JSON, histograms as CSV. *)
+    streams as Chrome trace-event / Perfetto JSON. *)
 
 (** Histogram summary + buckets as a JSON object. *)
 val hist_json : Histogram.t -> Json.t
@@ -17,10 +17,6 @@ val jsonl_of_snapshot :
   ?tags:(string * string) list ->
   (string * Metrics.snapshot_item) list ->
   string
-
-(** ["histogram,bucket_lo,bucket_hi,count"] rows for every histogram in
-    the snapshot. *)
-val histograms_csv : (string * Metrics.snapshot_item) list -> string
 
 (** [chrome_trace tracks] — each [(name, events)] track becomes one named
     process: spans on tid 1, block deliveries as duration slices on tid 2,

@@ -14,11 +14,6 @@ type t = { emit : Event.t -> unit }
 let make emit = { emit }
 let emit t e = t.emit e
 
-(* Fan one stream out to several consumers. *)
-let tee a b = { emit = (fun e -> a.emit e; b.emit e) }
-
-let null = { emit = ignore }
-
 (* Time [f] and emit a span around it.  Wall-clock spans use the processor
    clock ([Sys.time]) so the library stays stdlib-only; spans are excluded
    from the determinism contract (see Event). *)

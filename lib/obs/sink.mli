@@ -15,12 +15,6 @@ type t
 val make : (Event.t -> unit) -> t
 val emit : t -> Event.t -> unit
 
-(** [tee a b] — fan one stream out to both sinks, [a] first. *)
-val tee : t -> t -> t
-
-(** Swallows every event. *)
-val null : t
-
 (** [timed ?obs ~stage ~label f] — run [f] and, when a sink is installed,
     emit a wall-clock {!Event.Span} around it ([Sys.time]-based). *)
 val timed :

@@ -100,5 +100,3 @@ let all_field_names =
         (layout k))
     kinds;
   List.rev !names
-
-let pp_field ppf fd = Format.fprintf ppf "%s:%d" fd.fname fd.width

@@ -37,4 +37,3 @@ val all_field_names : string list
 
 val kinds : Opcode.kind list
 val kind_to_string : Opcode.kind -> string
-val pp_field : Format.formatter -> field -> unit

@@ -309,39 +309,8 @@ let regs op =
   in
   pred @ body
 
-let map_regs f op =
-  let g = f in
-  let gpr i = g (Reg.gpr i) and fpr i = g (Reg.fpr i) and pr i = g (Reg.pr i) in
-  let body =
-    match op.body with
-    | Alu b -> Alu { b with src1 = gpr b.src1; src2 = gpr b.src2; dest = gpr b.dest }
-    | Cmpp b ->
-        Cmpp { b with src1 = gpr b.src1; src2 = gpr b.src2; dest = pr b.dest }
-    | Ldi b -> Ldi { b with dest = gpr b.dest }
-    | Fpu ({ opcode = Opcode.ITOF; _ } as b) ->
-        Fpu { b with src1 = gpr b.src1; src2 = fpr b.src2; dest = fpr b.dest }
-    | Fpu ({ opcode = Opcode.FTOI; _ } as b) ->
-        Fpu { b with src1 = fpr b.src1; src2 = fpr b.src2; dest = gpr b.dest }
-    | Fpu b -> Fpu { b with src1 = fpr b.src1; src2 = fpr b.src2; dest = fpr b.dest }
-    | Load b ->
-        Load
-          {
-            b with
-            src1 = gpr b.src1;
-            dest = (if b.tcs = 1 then fpr b.dest else gpr b.dest);
-          }
-    | Store b ->
-        Store
-          {
-            b with
-            src1 = gpr b.src1;
-            src2 = (if b.tcs = 1 then fpr b.src2 else gpr b.src2);
-          }
-    | Branch b -> Branch { b with src1 = gpr b.src1; counter = gpr b.counter }
-  in
-  { op with pred = (if op.pred <> 0 then pr op.pred else 0); body }
-
 let equal (a : t) b = a = b
+let equal_list = List.equal equal
 
 let pp ppf op =
   let open Format in

@@ -134,11 +134,11 @@ val of_fields : Opcode.kind -> (string -> int) -> t
     predicate register is included as a [Pr] use when nonzero. *)
 val regs : t -> Reg.t list
 
-(** [map_regs f op] rewrites every register field index through [f]
-    (class-aware); used by the tailored encoder to renumber registers
-    densely. *)
-val map_regs : (Reg.t -> int) -> t -> t
-
 val equal : t -> t -> bool
+
+(** [equal_list a b] — same length and pairwise {!equal}: a decoded
+    block against its reference ops. *)
+val equal_list : t list -> t list -> bool
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -11,7 +11,3 @@ type t = {
     accounted for (a [Loop] counter is both used and redefined; a [Call]
     defines its link register). *)
 val analyze : Cfg.t -> t
-
-(** [block_uses_defs bb] is [(uses, defs)] of a whole block, where [uses]
-    are registers read before any write inside the block. *)
-val block_uses_defs : Cfg.bb -> VSet.t * VSet.t

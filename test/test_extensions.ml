@@ -116,7 +116,7 @@ let test_superblock_head_errors () =
 (* --- predictor experiment plumbing --- *)
 
 let test_predictor_experiment_shape () =
-  let rows = Cccs.Experiments.predictors () in
+  let rows = Cccs.Experiments.(sweep predictors_for) in
   check "eight rows" 8 (List.length rows);
   List.iter
     (fun (r : Cccs.Experiments.predictor_row) ->
@@ -129,7 +129,7 @@ let test_predictor_experiment_shape () =
     rows
 
 let test_superblock_experiment_shape () =
-  let rows = Cccs.Experiments.superblocks () in
+  let rows = Cccs.Experiments.(sweep superblocks_for) in
   check "eight rows" 8 (List.length rows);
   List.iter
     (fun (r : Cccs.Experiments.superblock_row) ->

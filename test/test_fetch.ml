@@ -704,6 +704,40 @@ let test_bus_read_bits () =
       done)
     [ image; ones ]
 
+(* A replay without a sink allocates nothing per visit: replaying the
+   trace twice through one [run_iter] allocates the same minor-heap words
+   as replaying it once (the state set-up and the result), for each model
+   of Figure 13. *)
+let test_replay_allocates_nothing_per_visit () =
+  let r = Cccs.Workload_run.load (Option.get (Workloads.Suite.find "compress")) in
+  let s = Cccs.Experiments.schemes_of r in
+  let prog = r.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+  let trace = r.Cccs.Workload_run.exec.Emulator.Exec.trace in
+  List.iter
+    (fun (name, scheme) ->
+      let model, cfg = Fetch.Config.of_scheme name in
+      let att = Encoding.Att.build scheme ~line_bits:cfg.Fetch.Config.line_bits prog in
+      let words passes =
+        let before = Gc.minor_words () in
+        let res =
+          Fetch.Sim.run_iter ~model ~cfg ~scheme ~att (fun f ->
+              for _ = 1 to passes do
+                Emulator.Trace.iter f trace
+              done)
+        in
+        let words = int_of_float (Gc.minor_words () -. before) in
+        check (name ^ " visits") (passes * Emulator.Trace.length trace)
+          res.Fetch.Sim.block_visits;
+        words
+      in
+      let once = words 1 in
+      check (name ^ ": minor words, two passes = one") once (words 2))
+    [
+      ("base", s.Cccs.Experiments.base);
+      ("full", s.Cccs.Experiments.full);
+      ("tailored", s.Cccs.Experiments.tailored);
+    ]
+
 let suite =
   [
     Alcotest.test_case "Table 1 penalties, verbatim" `Quick test_table1_exact;
@@ -737,4 +771,6 @@ let suite =
       test_reference_fault_plans;
     Alcotest.test_case "gshare: last block predicts inside the layout" `Quick
       test_gshare_last_block;
+    Alcotest.test_case "uninstrumented replay allocates nothing per visit"
+      `Quick test_replay_allocates_nothing_per_visit;
   ]

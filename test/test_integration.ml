@@ -48,7 +48,7 @@ let test_schemes_verify_on_all_benchmarks () =
     (Cccs.Workload_run.load_spec ())
 
 let test_fig5_shape () =
-  let rows = Cccs.Experiments.fig5 () in
+  let rows = Cccs.Experiments.(sweep fig5_for) in
   check "eight benchmarks" 8 (List.length rows);
   List.iter
     (fun (row : Cccs.Experiments.fig5_row) ->
@@ -89,11 +89,11 @@ let test_fig7_att_overhead () =
         row.Cccs.Experiments.schemes_total;
       Alcotest.(check bool) "ATB miss rate bounded" true
         (row.Cccs.Experiments.atb_miss_rate < 0.7))
-    (Cccs.Experiments.fig7 ());
+    Cccs.Experiments.(sweep fig7_for);
   (* The paper reports very low ATB contention; our synthetic traces sweep
      the whole hot loop every iteration, so reuse distances are flatter — the
      mean still stays low (see EXPERIMENTS.md). *)
-  let rows = Cccs.Experiments.fig7 () in
+  let rows = Cccs.Experiments.(sweep fig7_for) in
   let mean =
     List.fold_left (fun a r -> a +. r.Cccs.Experiments.atb_miss_rate) 0. rows
     /. float_of_int (List.length rows)
@@ -101,7 +101,7 @@ let test_fig7_att_overhead () =
   Alcotest.(check bool) "mean ATB miss rate low" true (mean < 0.4)
 
 let test_fig10_shape () =
-  let rows = Cccs.Experiments.fig10 () in
+  let rows = Cccs.Experiments.(sweep fig10_for) in
   List.iter
     (fun (row : Cccs.Experiments.fig10_row) ->
       let get name = List.assoc name row.Cccs.Experiments.decoders in
@@ -120,7 +120,7 @@ let test_fig10_shape () =
     rows
 
 let test_fig13_shape () =
-  let rows = Cccs.Experiments.fig13 () in
+  let rows = Cccs.Experiments.(sweep fig13_for) in
   check "eight benchmarks" 8 (List.length rows);
   let losers = [ "compress"; "go"; "ijpeg"; "m88ksim" ] in
   List.iter
@@ -165,7 +165,7 @@ let test_fig14_shape () =
         (row.Cccs.Experiments.bench ^ ": tailored flips < base")
         true
         (get "tailored" < get "base"))
-    (Cccs.Experiments.fig14 ())
+    Cccs.Experiments.(sweep (fun r -> fig14_of (fig13_for r)))
 
 let test_workload_dynamic_sizes () =
   (* Calibration keeps executed sizes comparable across benchmarks. *)

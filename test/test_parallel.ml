@@ -105,9 +105,9 @@ let test_default_jobs_env () =
    between runs so the parallel pass cannot coast on memoized rows. *)
 let test_fig5_parallel_equals_sequential () =
   Cccs.Experiments.clear_cache ();
-  let seq = Cccs.Experiments.fig5 ~jobs:1 () in
+  let seq = Cccs.Experiments.(sweep ~jobs:1 fig5_for) in
   Cccs.Experiments.clear_cache ();
-  let par = Cccs.Experiments.fig5 ~jobs:2 () in
+  let par = Cccs.Experiments.(sweep ~jobs:2 fig5_for) in
   check "same row count" (List.length seq) (List.length par);
   Alcotest.(check bool) "rows identical" true (seq = par)
 

@@ -136,7 +136,7 @@ let test_cache_ai_real_matches_reference () =
       in
       List.iter
         (fun (scheme, (sc : Encoding.Scheme.t)) ->
-          let fetch_cfg = TC.config_of_model (TC.model_of_scheme scheme) in
+          let _, fetch_cfg = Fetch.Config.of_scheme scheme in
           List.iter
             (fun compressed ->
               let run analyze =
