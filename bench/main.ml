@@ -23,12 +23,44 @@ let program () = (Lazy.force fixture).Cccs.Workload_run.compiled.Cccs.Pipeline.p
 let trace () = (Lazy.force fixture).Cccs.Workload_run.exec.Emulator.Exec.trace
 
 (* ------------------------------------------------------------------ *)
-(* Cross-run plumbing: the telemetry ledger and --flame spans.         *)
+(* Cross-run plumbing: the report writer and --flame spans.            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every mode appends its result rows to the ledger (CCCS_LEDGER=off
-   disables), so `cccs perfdiff` can compare consecutive runs. *)
-let ledger_append ~kind ?schemes rows =
+(* [write_rows path ~kind ?schemes rows] — write [rows] to [path] as one
+   cccs-bench/1 report, and append them to the ledger as a [kind] entry
+   (CCCS_LEDGER=off disables), so `cccs perfdiff` can compare consecutive
+   runs.  `bench perf` and `bench fuzz` share BENCH_perf.json: a write
+   replaces each row family ("decode" for "perf/decode/full") that [rows]
+   bring and keeps the file's other families.  Rows outside "perf/" have
+   no family, so BENCH_obs.json is rewritten whole. *)
+let write_rows path ~kind ?schemes rows =
+  let open Cccs_obs.Json in
+  let family r =
+    match member "name" r with
+    | Some (Str n) -> (
+        match String.split_on_char '/' n with
+        | "perf" :: f :: _ :: _ -> Some f
+        | _ -> None)
+    | _ -> None
+  in
+  let brought = List.filter_map family rows in
+  let kept =
+    match parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok j ->
+        List.filter
+          (fun r ->
+            match family r with
+            | Some f -> not (List.mem f brought)
+            | None -> false)
+          (Option.value ~default:[] (Option.bind (member "results" j) to_list))
+    | Error _ | (exception Sys_error _) -> []
+  in
+  let j =
+    Obj [ ("schema", Str "cccs-bench/1"); ("results", Arr (kept @ rows)) ]
+  in
+  Cccs_obs.Export.write_file path (to_string j ^ "\n");
+  Printf.printf "wrote %d rows to %s (%d kept)\n" (List.length rows) path
+    (List.length kept);
   Cccs_obs.Ledger.record ~kind ~timestamp:(Unix.gettimeofday ())
     ~cores:(Cccs.Parallel.cores ()) ~jobs:(Cccs.Parallel.default_jobs ())
     ?schemes rows
@@ -42,18 +74,6 @@ let bspan label f =
   match !flame_obs with
   | None -> f ()
   | Some obs -> Cccs_obs.Sink.timed ~obs ~stage:Cccs_obs.Event.Bench ~label f
-
-let flame_path () =
-  let p = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--flame" && i + 1 < Array.length Sys.argv then
-        p := Some Sys.argv.(i + 1)
-      else if
-        String.length a > 8 && String.sub a 0 8 = "--flame="
-      then p := Some (String.sub a 8 (String.length a - 8)))
-    Sys.argv;
-  !p
 
 (* ------------------------------------------------------------------ *)
 (* One benchmark group per figure.                                     *)
@@ -289,50 +309,99 @@ let run_benchmarks () =
       let trusted = Float.is_finite r2 && r2 >= 0.9 in
       Printf.printf "%-42s %16.1f %8.3f%s\n" name est r2
         (if trusted then "" else "  (untrusted)");
-      if Float.is_nan est then None else Some (name, est, r2, trusted))
+      (* The row of BENCH_obs.json, the machine-readable copy of the
+         table CI archives so timing regressions can be compared across
+         runs. *)
+      if Float.is_nan est then None
+      else
+        Some
+          Cccs_obs.Json.(
+            Obj
+              [
+                ("name", Str name);
+                ("ns_per_run", Num est);
+                ("r_square", Num r2);
+                ("trusted", Bool trusted);
+              ]))
     (List.sort compare rows)
 
-(* Machine-readable copy of the table above, archived by CI so timing
-   regressions can be compared across runs. *)
-let write_obs rows =
-  let open Cccs_obs.Json in
-  let row_json (name, ns, r2, trusted) =
-    Obj
-      [
-        ("name", Str name);
-        ("ns_per_run", Num ns);
-        ("r_square", Num r2);
-        ("trusted", Bool trusted);
-      ]
-  in
-  let json_rows = List.map row_json rows in
-  let j =
-    Obj
-      [
-        ("schema", Str "cccs-bench/1");
-        ("results", Arr json_rows);
-      ]
-  in
-  Cccs_obs.Export.write_file "BENCH_obs.json" (to_string j ^ "\n");
-  ledger_append ~kind:"bench" json_rows;
-  Printf.printf "\nwrote %d benchmark rows to BENCH_obs.json\n"
-    (List.length rows)
-
 (* ------------------------------------------------------------------ *)
-(* perf group: decode, fetch replay and sweep wall-clock.             *)
-(*                                                                    *)
-(* `bench perf` skips the Bechamel suite and measures symbol decode   *)
-(* throughput (two-level table vs the bit-serial reference), the      *)
-(* whole-image decode, the fetch models' block visits per second and  *)
-(* the experiment sweep wall-clock at CCCS_JOBS=1 vs 4.  Results land *)
-(* in BENCH_perf.json (schema "cccs-bench/1") for CI to archive.      *)
+(* perf and fuzz groups.  `bench perf` skips the Bechamel suite and   *)
+(* times decode, image decode, fetch replay, compile, emulate, scheme *)
+(* build and the jobs=1 vs 4 sweep; `bench fuzz` the fuzz campaign    *)
+(* and the bounded-memory trace stream.  [measure] times every row    *)
+(* and [row] builds it; both modes write BENCH_perf.json.             *)
 (* ------------------------------------------------------------------ *)
 
-(* Every row is timed on the monotonic clock, in seconds. *)
-let mono_s () = Monotonic_clock.get () /. 1e9
+(* [measure ?n ?window ~check f] — [n] samples (default 3) of the seconds
+   one call of [f] takes.  A sample repeats [f] until its calls have run
+   for [window] seconds (default 0.2; one call when 0) and is their mean.
+   Each call is timed alone on the monotonic clock, and its result goes
+   to [check] off the clock, so every gate holds on every timed call. *)
+let measure ?(n = 3) ?(window = 0.2) ~check f =
+  List.init n (fun _ ->
+      let calls = ref 0 and spent = ref 0.0 in
+      while !calls = 0 || !spent < window *. 1e9 do
+        let t0 = Monotonic_clock.get () in
+        let r = f () in
+        spent := !spent +. (Monotonic_clock.get () -. t0);
+        check r;
+        incr calls
+      done;
+      !spent /. 1e9 /. float_of_int !calls)
 
-(* The best of several timed runs: noise only ever slows a run down. *)
+(* A [check] that every result equals the first. *)
+let repeats what =
+  let first = ref None in
+  fun r ->
+    if !first = None then first := Some r
+    else if !first <> Some r then
+      failwith ("bench: " ^ what ^ " changed on a later call")
+
+(* The best sample: noise only ever slows a call down. *)
 let fastest = List.fold_left Float.min infinity
+
+(* [row ?rate name seconds fields] — the row "perf/NAME" over the
+   [seconds] samples [measure] took, printed as it is built: headline,
+   [fields], [cores], [samples].  The headline is [seconds], the fastest
+   sample, or with [~rate:(metric, work)], where one call does [work] and
+   [metric] is a rate of [Cccs_obs.Compare.metrics], [metric] at that
+   call.  The samples are in the headline's unit, so the best one is the
+   headline and perfdiff bootstraps like with like. *)
+let row ?rate name seconds fields =
+  let open Cccs_obs.Json in
+  let best = fastest seconds in
+  let headline, samples =
+    match rate with
+    | None -> ([ ("seconds", Num best) ], seconds)
+    | Some (metric, work) ->
+        ( [ (metric, Num (work /. best)); ("seconds", Num best) ],
+          List.map (fun s -> work /. s) seconds )
+  in
+  let fields = headline @ fields in
+  Printf.printf "perf/%-24s" name;
+  List.iter
+    (function
+      | k, Num x when Float.is_integer x -> Printf.printf "  %s %.0f" k x
+      | k, Num x -> Printf.printf "  %s %.4g" k x
+      | k, v -> Printf.printf "  %s %s" k (to_string v))
+    fields;
+  print_newline ();
+  Obj
+    ((("name", Str ("perf/" ^ name)) :: fields)
+    @ [
+        ("cores", int (Cccs.Parallel.cores ()));
+        ("samples", Arr (List.map (fun x -> Num x) samples));
+      ])
+
+(* [per item count seconds] — the fields of a row whose call works
+   through [count] items: "ns_per_ITEM" at the fastest call and "ITEMs". *)
+let per item count seconds =
+  Cccs_obs.Json.
+    [
+      ("ns_per_" ^ item, Num (fastest seconds *. 1e9 /. float_of_int count));
+      (item ^ "s", int count);
+    ]
 
 (* Deterministic symbol source — stdlib Random changed algorithms across
    releases, and the stream must be identical for both decoders. *)
@@ -419,131 +488,90 @@ let pass_seed decode data nsyms =
   done;
   !acc
 
-(* MB/s over the compressed payload for both decoders.  The untimed first
-   passes warm both paths and, on the table path, trigger the lazy LUT
-   build, so table construction is not billed to decode time (it is
-   amortized over a whole program image in real use).  The two decoders
-   run in interleaved timing windows and each takes its best window:
-   external noise (scheduler steal on a shared box) only ever slows a
-   window down, so the max is the least-perturbed estimate, and
-   interleaving keeps a noise burst from taxing only one side. *)
-let throughput book data nsyms =
-  let seed = seed_decoder book in
-  let expect = pass_table book data nsyms in
-  if pass_serial book data nsyms <> expect then
-    failwith "bench perf: serial/table decode mismatch";
-  if pass_seed seed data nsyms <> expect then
-    failwith "bench perf: seed/table decode mismatch";
-  let bytes = float_of_int (String.length data) in
-  let window pass =
-    let t0 = mono_s () in
-    let passes = ref 0 and elapsed = ref 0.0 in
-    while !elapsed < 0.2 do
-      if pass () <> expect then failwith "bench perf: decode mismatch";
-      incr passes;
-      elapsed := mono_s () -. t0
-    done;
-    float_of_int !passes *. bytes /. 1e6 /. !elapsed
-  in
-  let wt = ref [] and ws = ref [] and w0 = ref [] in
-  for _ = 1 to 5 do
-    wt := window (fun () -> pass_table book data nsyms) :: !wt;
-    ws := window (fun () -> pass_serial book data nsyms) :: !ws;
-    w0 := window (fun () -> pass_seed seed data nsyms) :: !w0
-  done;
-  let best l = List.fold_left Float.max 0.0 l in
-  (* All per-window table readings ride along as "samples" so perfdiff
-     can bootstrap a confidence interval instead of trusting one point. *)
-  (best !wt, best !ws, best !w0, List.rev !wt)
-
-type decode_perf = {
-  scheme : string;
-  table_mb_s : float;
-  serial_mb_s : float;
-  seed_mb_s : float;
-  table_windows : float list;
-}
+(* perf/decode: MB/s over the compressed payload for the table decoder,
+   with the bit-serial and seed decoders alongside.  The untimed first
+   pass triggers the table path's lazy LUT build, so table construction
+   is not billed to decode time (it is amortized over a whole program
+   image in real use), and gives the sum every timed pass must
+   reproduce.  The three decoders run in five rounds of interleaved
+   0.2 s windows, so a noise burst on a shared box cannot tax one
+   decoder only; the table windows are the row's samples. *)
+let decode_books =
+  Encoding.[ ("full", Full_huffman.build); ("byte", Byte_huffman.build) ]
 
 let perf_decode () =
-  let prog = program () in
-  [
-    ("full", Encoding.Full_huffman.build prog);
-    ("byte", Encoding.Byte_huffman.build prog);
-  ]
-  |> List.map (fun (scheme, sc) ->
-         let book = List.assoc scheme sc.Encoding.Scheme.books in
-         let data, nsyms = symbol_stream book ~target_bits:(8 * 256 * 1024) in
-         let table_mb_s, serial_mb_s, seed_mb_s, table_windows =
-           throughput book data nsyms
-         in
-         { scheme; table_mb_s; serial_mb_s; seed_mb_s; table_windows })
+  List.map
+    (fun (scheme, build) ->
+      let book = List.assoc scheme (build (program ())).Encoding.Scheme.books in
+      let data, nsyms = symbol_stream book ~target_bits:(8 * 256 * 1024) in
+      let seed_read = seed_decoder book in
+      let expect = pass_table book data nsyms in
+      let window pass =
+        measure ~n:1
+          ~check:(fun sum ->
+            if sum <> expect then failwith "bench perf: decode mismatch")
+          (fun () -> pass data nsyms)
+      in
+      let rounds =
+        List.init 5 (fun _ ->
+            List.map window
+              [ pass_table book; pass_serial book; pass_seed seed_read ])
+      in
+      let decoder i = List.concat_map (fun r -> List.nth r i) rounds in
+      let table = decoder 0 and serial = decoder 1 and seed = decoder 2 in
+      let mb = float_of_int (String.length data) /. 1e6 in
+      row ("decode/" ^ scheme) ~rate:("mb_per_s", mb) table
+        Cccs_obs.Json.
+          [
+            ("serial_mb_per_s", Num (mb /. fastest serial));
+            ("seed_mb_per_s", Num (mb /. fastest seed));
+            ("speedup_vs_serial", Num (fastest serial /. fastest table));
+            ("speedup_vs_seed", Num (fastest seed /. fastest table));
+          ])
+    decode_books
 
 (* ------------------------------------------------------------------ *)
 (* perf/image-decode: the whole-image decode behind `cccs decode`      *)
 (* (Cccs.Par_decode.decode), end to end.  Three schemes — fixed widths *)
 (* (base), unframed Huffman (full) and framed Huffman (full+crc16) —   *)
-(* each checked byte-for-byte against the 40-bit baseline image.  Set  *)
-(* these rows against perf/decode/*, the Huffman kernel alone.  Each   *)
-(* row is printed as it is measured and returned as its JSON row.      *)
+(* each checked byte-for-byte against the 40-bit baseline image on     *)
+(* every call.  Set these rows against perf/decode/*, the Huffman      *)
+(* kernel alone.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let perf_image_decode ~cores =
+let perf_image_decode () =
   let prog = program () in
   let truth = Tepic.Program.baseline_image prog in
   let full = Encoding.Full_huffman.build prog in
-  let schemes =
-    [
-      ("base", Encoding.Baseline.build prog);
-      ("full", full);
-      ("full+crc16", Encoding.Scheme.protect Encoding.Scheme.Crc16 full);
-    ]
-  in
   List.map
     (fun (name, sc) ->
-      let decode () =
-        match Cccs.Par_decode.decode sc with
-        | Ok out -> out
+      let check = function
+        | Ok out when out = truth -> ()
+        | Ok _ ->
+            failwith
+              (Printf.sprintf
+                 "bench perf: image-decode %s diverged from the baseline image"
+                 name)
         | Error e ->
             failwith
               ("bench perf: image-decode: "
               ^ Encoding.Scheme.decode_error_to_string e)
       in
-      let out = decode () in
-      if out <> truth then
-        failwith
-          (Printf.sprintf
-             "bench perf: image-decode %s diverged from the baseline image"
-             name);
-      let window () =
-        let t0 = mono_s () in
-        let reps = ref 0 and elapsed = ref 0.0 in
-        while !elapsed < 0.2 do
-          ignore (decode ());
-          incr reps;
-          elapsed := mono_s () -. t0
-        done;
-        !elapsed /. float_of_int !reps
-      in
-      (* Best of three windows: noise only ever slows a window. *)
-      let samples = List.init 3 (fun _ -> window ()) in
-      let seconds = fastest samples in
-      let bytes = String.length sc.Encoding.Scheme.image in
       (* Compressed bytes through the decoder. *)
-      let mb_per_s = float_of_int bytes /. seconds /. 1e6 in
-      Printf.printf "perf/image-decode/%-10s  %7.1f MB/s  %7.3f ms\n%!" name
-        mb_per_s (seconds *. 1e3);
-      Cccs_obs.Json.(
-        Obj
+      let bytes = String.length sc.Encoding.Scheme.image in
+      row ("image-decode/" ^ name)
+        ~rate:("mb_per_s", float_of_int bytes /. 1e6)
+        (measure ~check (fun () -> Cccs.Par_decode.decode sc))
+        Cccs_obs.Json.
           [
-            ("name", Str ("perf/image-decode/" ^ name));
-            ("mb_per_s", Num mb_per_s);
-            ("seconds", Num seconds);
-            ("cores", int cores);
             ("compressed_bytes", int bytes);
-            ("decoded_bytes", int (String.length out));
-            ("samples", Arr (List.map (fun x -> Num x) samples));
-          ]))
-    schemes
+            ("decoded_bytes", int (String.length truth));
+          ])
+    [
+      ("base", Encoding.Baseline.build prog);
+      ("full", full);
+      ("full+crc16", Encoding.Scheme.protect Encoding.Scheme.Crc16 full);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* perf/fetch-sim: the three simulated Figure 13 fetch models, each   *)
@@ -552,7 +580,7 @@ let perf_image_decode ~cores =
 (* trace executed and repeat the first replay's result.               *)
 (* ------------------------------------------------------------------ *)
 
-let perf_fetch_sim ~cores =
+let perf_fetch_sim () =
   let r =
     Cccs.Workload_run.load (Option.get (Workloads.Suite.find "m88ksim"))
   in
@@ -560,347 +588,178 @@ let perf_fetch_sim ~cores =
     Emulator.Trace.total_ops r.Cccs.Workload_run.exec.Emulator.Exec.trace
   in
   List.filter_map
-    (fun (name, run) ->
-      if name = "ideal" then None
-      else begin
-        (* The untimed first replay also builds the model's ATT. *)
-        let expect = run ?obs:None () in
-        let sim () =
-          let res = run ?obs:None () in
-          if res <> expect || res.Fetch.Sim.ops_delivered <> executed then
-            failwith
-              (Printf.sprintf
-                 "bench perf: fetch-sim/%s delivered %d ops of %d executed"
-                 name res.Fetch.Sim.ops_delivered executed)
-        in
-        let visits = expect.Fetch.Sim.block_visits in
-        let window () =
-          let t0 = mono_s () in
-          let reps = ref 0 and elapsed = ref 0.0 in
-          while !elapsed < 0.2 do
-            sim ();
-            incr reps;
-            elapsed := mono_s () -. t0
-          done;
-          float_of_int (!reps * visits) /. !elapsed
-        in
-        (* Best of three windows: noise only ever slows a window. *)
-        let samples = List.init 3 (fun _ -> window ()) in
-        let visits_per_s = List.fold_left Float.max 0.0 samples in
-        Printf.printf "perf/fetch-sim/%-10s  %6.2f M visits/s  %6.1f ns/visit\n%!"
-          name (visits_per_s /. 1e6) (1e9 /. visits_per_s);
-        Some
-          Cccs_obs.Json.(
-            Obj
-              [
-                ("name", Str ("perf/fetch-sim/" ^ name));
-                ("visits_per_s", Num visits_per_s);
-                ("ns_per_visit", Num (1e9 /. visits_per_s));
-                ("cores", int cores);
-                ("visits", int visits);
-                ("ops_delivered", int expect.Fetch.Sim.ops_delivered);
-                ("samples", Arr (List.map (fun x -> Num x) samples));
-              ])
-      end)
+    (function
+      | "ideal", _ -> None
+      | name, run ->
+          (* The untimed first replay also builds the model's ATT. *)
+          let expect = run ?obs:None () in
+          let check res =
+            if res <> expect || res.Fetch.Sim.ops_delivered <> executed then
+              failwith
+                (Printf.sprintf
+                   "bench perf: fetch-sim/%s delivered %d ops of %d executed"
+                   name res.ops_delivered executed)
+          in
+          let visits = expect.Fetch.Sim.block_visits in
+          let seconds = measure ~check (fun () -> run ?obs:None ()) in
+          Some
+            (row ("fetch-sim/" ^ name)
+               ~rate:("visits_per_s", float_of_int visits)
+               seconds
+               (per "visit" visits seconds
+               @ [ ("ops_delivered", Cccs_obs.Json.int executed) ])))
     (Cccs.Experiments.fetch_models r)
 
 (* ------------------------------------------------------------------ *)
 (* perf/compile, perf/emulate and perf/scheme-build: the layers every  *)
 (* figure loads through, over the 13 suite programs one after another  *)
-(* on one core, timed on the monotonic clock.  Each row is the best of *)
-(* three passes, and every pass must reproduce the first pass's        *)
-(* baseline images, trace lengths and checksums, or scheme images.     *)
+(* on one core.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [passes name ~check pass] — three timed runs of [pass], each [check]ed
-   off the clock against the first: the first run's checked result, the
-   samples, and the minor-heap words of the first run. *)
-let passes name ~check pass =
-  let run () =
-    let words0 = Gc.minor_words () and t0 = mono_s () in
-    let r = pass () in
-    let s = mono_s () -. t0 in
-    (check r, s, Gc.minor_words () -. words0)
-  in
-  let first, s0, words = run () in
-  let samples =
-    s0
-    :: List.init 2 (fun _ ->
-           let r, s, _ = run () in
-           if r <> first then
-             failwith ("bench perf: " ^ name ^ " changed on a later pass");
-           s)
-  in
-  (first, samples, words)
+let program_of r = r.Cccs.Workload_run.compiled.Cccs.Pipeline.program
 
-let perf_row ~cores ?(extra = []) name ~ops samples =
-  let seconds = fastest samples in
-  let ns_per_op = seconds *. 1e9 /. float_of_int ops in
-  Printf.printf "perf/%-21s %7.3f s  %7.1f ns/op\n%!" name seconds ns_per_op;
-  Cccs_obs.Json.(
-    Obj
-      ([
-         ("name", Str ("perf/" ^ name));
-         ("seconds", Num seconds);
-         ("ns_per_op", Num ns_per_op);
-         ("cores", int cores);
-         ("ops", int ops);
-         ("samples", Arr (List.map (fun x -> Num x) samples));
-       ]
-      @ extra))
+let static_ops runs =
+  List.fold_left (fun a r -> a + Tepic.Program.num_ops (program_of r)) 0 runs
 
-(* perf/compile/suite: [Pipeline.compile] of each generated program;
-   [ops] counts the ops compiled. *)
-let perf_compile ~cores progs =
+(* perf/compile/suite: [Pipeline.compile] of each generated program,
+   which must reproduce the loaded run's program; [ops] counts the ops
+   compiled. *)
+let perf_compile runs =
   let workloads = List.map Cccs.Workload_run.generate Workloads.Suite.all in
-  let _, samples, _ =
-    passes "compile/suite"
-      ~check:(List.map Tepic.Program.baseline_image)
+  let images = List.map Tepic.Program.baseline_image in
+  let expect = images (List.map program_of runs) in
+  let seconds =
+    measure ~window:0.
+      ~check:(fun progs ->
+        if images progs <> expect then
+          failwith
+            "bench perf: compile/suite diverged from the loaded programs")
       (fun () ->
         List.map
           (fun w -> (Cccs.Pipeline.compile w).Cccs.Pipeline.program)
           workloads)
   in
-  let ops = List.fold_left (fun a p -> a + Tepic.Program.num_ops p) 0 progs in
-  perf_row ~cores "compile/suite" ~ops samples
+  row "compile/suite" seconds (per "op" (static_ops runs) seconds)
 
-(* perf/emulate/suite: [Exec.run] of each compiled program; [ops] counts
-   the ops executed, and [minor_words_per_op] is what they allocate. *)
-let perf_emulate ~cores progs =
-  let first, samples, words =
-    passes "emulate/suite"
-      ~check:
-        (List.map (fun (r : Emulator.Exec.result) ->
-             ( Emulator.Trace.length r.trace,
-               Emulator.Trace.total_ops r.trace,
-               Emulator.Machine.checksum r.machine )))
-      (fun () -> List.map (Emulator.Exec.run ~max_blocks:3_000_000) progs)
+(* perf/emulate/suite: [Exec.run] of each compiled program, which must
+   reproduce the loaded run's trace and machine; [ops] counts the ops
+   executed, and [minor_words_per_op] is what they allocate. *)
+let perf_emulate runs =
+  let summary (r : Emulator.Exec.result) =
+    ( Emulator.Trace.length r.trace,
+      Emulator.Trace.total_ops r.trace,
+      Emulator.Machine.checksum r.machine )
   in
-  let ops = List.fold_left (fun a (_, ops, _) -> a + ops) 0 first in
-  let words_per_op = words /. float_of_int ops in
-  let row =
-    perf_row ~cores "emulate/suite" ~ops samples
-      ~extra:[ ("minor_words_per_op", Cccs_obs.Json.Num words_per_op) ]
+  let expect = List.map (fun r -> summary r.Cccs.Workload_run.exec) runs in
+  let ops = List.fold_left (fun a (_, n, _) -> a + n) 0 expect in
+  let words = ref 0.0 in
+  let seconds =
+    measure ~window:0.
+      ~check:(fun results ->
+        if List.map summary results <> expect then
+          failwith "bench perf: emulate/suite diverged from the loaded runs")
+      (fun () ->
+        let words0 = Gc.minor_words () in
+        let results =
+          List.map
+            (fun r -> Emulator.Exec.run ~max_blocks:3_000_000 (program_of r))
+            runs
+        in
+        words := Gc.minor_words () -. words0;
+        results)
   in
-  Printf.printf "perf/emulate/suite     %7.3f minor words/op\n%!" words_per_op;
-  row
+  row "emulate/suite" seconds
+    (per "op" ops seconds
+    @ Cccs_obs.Json.
+        [ ("minor_words_per_op", Num (!words /. float_of_int ops)) ])
 
-(* perf/scheme-build: every scheme builder; the stream row builds all six
-   configurations. *)
-let perf_scheme_build ~cores progs =
-  let ops = List.fold_left (fun a p -> a + Tepic.Program.num_ops p) 0 progs in
-  let image build p = [ (build p).Encoding.Scheme.image ] in
-  let builders =
+(* perf/scheme-build: every scheme builder, which must repeat its first
+   images; the stream row builds all six configurations. *)
+let perf_scheme_build runs =
+  let image build r = [ (build (program_of r)).Encoding.Scheme.image ] in
+  List.map
+    (fun (name, build) ->
+      let name = "scheme-build/" ^ name in
+      let seconds =
+        measure ~window:0. ~check:(repeats name) (fun () ->
+            List.concat_map build runs)
+      in
+      row name seconds (per "op" (static_ops runs) seconds))
     [
       ("base", image Encoding.Baseline.build);
       ("byte", image Encoding.Byte_huffman.build);
       ( "stream",
-        fun p ->
+        fun r ->
           List.concat_map
-            (fun (_, config) -> image (Encoding.Stream_huffman.build ~config) p)
+            (fun (_, config) -> image (Encoding.Stream_huffman.build ~config) r)
             Encoding.Stream_huffman.configs );
       ("full", image Encoding.Full_huffman.build);
       ("tailored", image Encoding.Tailored.build);
       ("dict", image Encoding.Dictionary.build);
     ]
-  in
-  List.map
-    (fun (name, build) ->
-      let name = "scheme-build/" ^ name in
-      let _, samples, _ =
-        passes name ~check:Fun.id (fun () -> List.concat_map build progs)
-      in
-      perf_row ~cores name ~ops samples)
-    builders
 
 (* The jobs=4 sweep may not cost more than this over jobs=1. *)
 let never_lose_factor = 1.15
 
-(* One cold-cache sweep: fig5 + fig13 for the whole SPEC set in a single
-   Experiments.sweep, so the parallel run duplicates no work against the
-   sequential one (each workload is loaded, encoded and simulated exactly
-   once per sweep in both modes). *)
-let sweep_once ~jobs =
-  Cccs.Workload_run.clear_cache ();
-  Cccs.Experiments.clear_cache ();
-  let t0 = mono_s () in
-  let rows = Cccs.Experiments.(sweep ~jobs (fun r -> (fig5_for r, fig13_for r))) in
-  (rows, mono_s () -. t0)
-
-(* perf/sweep/jobs{1,4}: three alternating jobs=1 / jobs=4 pairs, so a
-   noise burst cannot tax one side only, and every pass must produce the
-   first jobs=1 pass's rows.  Each row keeps its side's best pass and all
-   its [samples].  The never-lose check runs only once the rows are
+(* perf/sweep/jobs{1,4}: one cold-cache sweep is fig5 + fig13 for the
+   whole SPEC set in a single Experiments.sweep, with both memos cleared
+   first, so the parallel run duplicates no work against the sequential
+   one.  Three alternating jobs=1 / jobs=4 pairs, so a noise burst cannot
+   tax one side only, and every sweep must produce the first jobs=1
+   sweep's rows.  The never-lose check runs only once the rows are
    printed, so a failed run still shows its numbers.  On a 1-core runner
    Parallel.map degrades jobs=4 to the sequential walk, so the jobs=4
-   sweep may never lose to jobs=1 past noise.  (This run used to regress
-   to 0.46x on 1 core before the clamp existed.) *)
-let perf_sweep ~cores =
-  let first, t1 = sweep_once ~jobs:1 in
-  let timed jobs =
-    let rows, s = sweep_once ~jobs in
-    if rows <> first then
-      failwith
-        (Printf.sprintf "bench perf: jobs=%d sweep diverged from jobs=1" jobs);
-    s
+   sweep may never lose to jobs=1 past noise. *)
+let perf_sweep () =
+  let check = repeats "the sweep" in
+  let sweep jobs =
+    measure ~n:1 ~window:0. ~check (fun () ->
+        Cccs.Workload_run.clear_cache ();
+        Cccs.Experiments.clear_cache ();
+        Cccs.Experiments.(sweep ~jobs (fun r -> (fig5_for r, fig13_for r))))
   in
-  let t4 = timed 4 in
-  let rest = List.init 2 (fun _ -> (timed 1, timed 4)) in
-  let sweep1 = t1 :: List.map fst rest and sweep4 = t4 :: List.map snd rest in
-  let s1 = fastest sweep1 and s4 = fastest sweep4 in
-  Printf.printf
-    "perf/sweep   jobs=1 %6.2fs   jobs=4 %6.2fs   %5.2fx  (best of %d \
-     pairs, %d cores, results identical)\n"
-    s1 s4 (s1 /. s4) (List.length sweep1) cores;
-  if s4 > (s1 *. never_lose_factor) +. 0.1 then
+  let pairs =
+    List.init 3 (fun _ ->
+        let s1 = sweep 1 in
+        (s1, sweep 4))
+  in
+  let s1 = List.concat_map fst pairs and s4 = List.concat_map snd pairs in
+  let jobs1 = row "sweep/jobs1" s1 [] in
+  let jobs4 =
+    row "sweep/jobs4" s4
+      [ ("speedup", Cccs_obs.Json.Num (fastest s1 /. fastest s4)) ]
+  in
+  if fastest s4 > (fastest s1 *. never_lose_factor) +. 0.1 then
     failwith
       (Printf.sprintf
          "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
           %.2fx never-lose bound (%d cores)"
-         s4 s1 never_lose_factor cores);
-  let open Cccs_obs.Json in
-  let samples l = ("samples", Arr (List.map (fun x -> Num x) l)) in
-  [
-    Obj
-      [
-        ("name", Str "perf/sweep/jobs1");
-        ("seconds", Num s1);
-        ("cores", int cores);
-        samples sweep1;
-      ];
-    Obj
-      [
-        ("name", Str "perf/sweep/jobs4");
-        ("seconds", Num s4);
-        ("speedup", Num (s1 /. s4));
-        ("cores", int cores);
-        samples sweep4;
-      ];
-  ]
+         (fastest s4) (fastest s1) never_lose_factor (Cccs.Parallel.cores ()));
+  [ jobs1; jobs4 ]
 
-(* BENCH_perf.json is shared by the [perf] and [fuzz] modes: each mode
-   owns the name prefixes it writes and must not clobber the other's rows,
-   so writes go through a read-merge — keep every existing row outside our
-   prefixes, replace the rest. *)
-let write_perf_rows ~prefixes rows =
-  let open Cccs_obs.Json in
-  let starts_with p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
-  in
-  let existing =
-    if not (Sys.file_exists "BENCH_perf.json") then []
-    else
-      match
-        parse (In_channel.with_open_bin "BENCH_perf.json" In_channel.input_all)
-      with
-      | Error _ -> []
-      | Ok j -> (
-          match Option.bind (member "results" j) to_list with
-          | Some l ->
-              List.filter
-                (fun r ->
-                  match member "name" r with
-                  | Some (Str n) ->
-                      not (List.exists (fun p -> starts_with p n) prefixes)
-                  | _ -> false)
-                l
-          | None -> [])
-  in
-  let j =
-    Obj
-      [
-        ("schema", Str "cccs-bench/1");
-        ("results", Arr (existing @ rows));
-      ]
-  in
-  Cccs_obs.Export.write_file "BENCH_perf.json" (to_string j ^ "\n");
-  Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
-    (List.length rows) (List.length existing)
-
-let write_perf ~cores decode_rows ~image_rows ~fetch_rows ~load_rows
-    ~build_rows ~sweep_rows =
-  let open Cccs_obs.Json in
-  let decode_json d =
-    Obj
-      [
-        ("name", Str ("perf/decode/" ^ d.scheme));
-        ("mb_per_s", Num d.table_mb_s);
-        ("serial_mb_per_s", Num d.serial_mb_s);
-        ("seed_mb_per_s", Num d.seed_mb_s);
-        ("speedup_vs_serial", Num (d.table_mb_s /. d.serial_mb_s));
-        ("speedup_vs_seed", Num (d.table_mb_s /. d.seed_mb_s));
-        ("cores", int cores);
-        ("samples", Arr (List.map (fun x -> Num x) d.table_windows));
-      ]
-  in
-  let rows =
-    List.map decode_json decode_rows
-    @ image_rows
-    @ fetch_rows
-    @ load_rows @ build_rows @ sweep_rows
-  in
-  write_perf_rows
-    ~prefixes:
-      [
-        "perf/decode/";
-        "perf/image-decode/";
-        "perf/fetch-sim/";
-        "perf/compile/";
-        "perf/emulate/";
-        "perf/scheme-build/";
-        "perf/sweep/";
-      ]
-    rows;
-  ledger_append ~kind:"bench_perf"
-    ~schemes:(List.map (fun d -> d.scheme) decode_rows)
-    rows
+let header title = Printf.printf "%s\n%s\n" title (String.make 68 '-')
 
 let run_perf () =
-  Printf.printf
+  header
     "CCCS perf — decode, fetch replay, compile, emulate, scheme build and \
-     sweep wall-clock\n%s\n"
-    (String.make 68 '-');
-  let decode_rows = bspan "decode" perf_decode in
-  List.iter
-    (fun d ->
-      Printf.printf
-        "perf/decode/%-6s table %7.1f MB/s | serial %6.1f MB/s (%4.1fx) | \
-         seed %5.1f MB/s (%4.1fx)\n%!"
-        d.scheme d.table_mb_s d.serial_mb_s
-        (d.table_mb_s /. d.serial_mb_s)
-        d.seed_mb_s
-        (d.table_mb_s /. d.seed_mb_s))
-    decode_rows;
-  let cores = Cccs.Parallel.cores () in
-  let image_rows = bspan "image-decode" (fun () -> perf_image_decode ~cores) in
-  let fetch_rows = bspan "fetch-sim" (fun () -> perf_fetch_sim ~cores) in
-  let progs =
-    List.map
-      (fun e ->
-        (Cccs.Workload_run.load e).Cccs.Workload_run.compiled
-          .Cccs.Pipeline.program)
-      Workloads.Suite.all
-  in
-  let compile_row = bspan "compile" (fun () -> perf_compile ~cores progs) in
-  let emulate_row = bspan "emulate" (fun () -> perf_emulate ~cores progs) in
-  let build_rows =
-    bspan "scheme-build" (fun () -> perf_scheme_build ~cores progs)
-  in
-  let sweep_rows = bspan "sweep" (fun () -> perf_sweep ~cores) in
-  write_perf ~cores decode_rows ~image_rows ~fetch_rows
-    ~load_rows:[ compile_row; emulate_row ] ~build_rows ~sweep_rows
+     sweep wall-clock";
+  let decode = bspan "decode" perf_decode in
+  let image = bspan "image-decode" perf_image_decode in
+  let fetch = bspan "fetch-sim" perf_fetch_sim in
+  let runs = List.map Cccs.Workload_run.load Workloads.Suite.all in
+  let compile = bspan "compile" (fun () -> perf_compile runs) in
+  let emulate = bspan "emulate" (fun () -> perf_emulate runs) in
+  let build = bspan "scheme-build" (fun () -> perf_scheme_build runs) in
+  let sweep = bspan "sweep" perf_sweep in
+  write_rows "BENCH_perf.json" ~kind:"bench_perf"
+    ~schemes:(List.map fst decode_books)
+    (decode @ image @ fetch @ [ compile; emulate ] @ build @ sweep)
 
 (* ------------------------------------------------------------------ *)
-(* fuzz group: campaign throughput and bounded-memory trace streaming. *)
-(*                                                                     *)
-(* `bench fuzz` measures the differential fuzzing engine (cases/sec    *)
-(* over a fixed-seed campaign) and the streaming trace path: a         *)
-(* two-million-visit trace is written through Trace_stream, replayed   *)
-(* through Fetch.Sim.run_iter without ever materializing the visit     *)
-(* sequence, and the heap is sampled along the way — growth past the   *)
-(* cap (or a result that differs from the direct in-memory iterator)   *)
-(* fails the run.  Rows land in BENCH_perf.json next to the perf       *)
-(* group's.                                                            *)
+(* fuzz group: the differential fuzzing engine (cases/sec over a       *)
+(* fixed-seed campaign) and the streaming trace path: a two-million-   *)
+(* visit trace is written through Trace_stream and replayed through    *)
+(* Fetch.Sim.run_iter without ever materializing the visit sequence.   *)
 (* ------------------------------------------------------------------ *)
 
 let stream_target_visits = 2_000_000
@@ -908,161 +767,148 @@ let stream_heap_cap_bytes = 32 * 1024 * 1024
 
 let fuzz_campaign_row () =
   let spec = { Cccs_fuzz.Fuzz.default_spec with Cccs_fuzz.Fuzz.runs = 2000 } in
-  let r = Cccs_fuzz.Fuzz.run spec in
-  if r.Cccs_fuzz.Fuzz.findings <> [] then
-    failwith "bench fuzz: fixed-seed campaign produced findings";
-  let cases = r.Cccs_fuzz.Fuzz.tallies.Cccs_fuzz.Fuzz.cases in
-  let cps = float_of_int cases /. r.Cccs_fuzz.Fuzz.seconds in
-  Printf.printf "perf/fuzz/campaign   %d cases in %.2fs  (%.0f cases/s)\n%!"
-    cases r.Cccs_fuzz.Fuzz.seconds cps;
-  let open Cccs_obs.Json in
-  Obj
-    [
-      ("name", Str "perf/fuzz/campaign");
-      ("cases", int cases);
-      ("seconds", Num r.Cccs_fuzz.Fuzz.seconds);
-      ("cases_per_s", Num cps);
-      ("findings", int (List.length r.Cccs_fuzz.Fuzz.findings));
-    ]
+  let check (r : Cccs_fuzz.Fuzz.report) =
+    if r.findings <> [] || r.tallies.cases <> spec.runs then
+      failwith "bench fuzz: fixed-seed campaign produced findings"
+  in
+  row "fuzz/campaign"
+    ~rate:("cases_per_s", float_of_int spec.runs)
+    (measure ~window:0. ~check (fun () -> Cccs_fuzz.Fuzz.run spec))
+    Cccs_obs.Json.[ ("cases", int spec.runs); ("findings", int 0) ]
 
 let stream_rows () =
   let module Ts = Workloads.Trace_stream in
   let run_k = Lazy.force kernel in
-  let prog = run_k.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+  let prog = program_of run_k in
+  (* fir's visits, repeated to the target length. *)
   let base =
-    let acc = ref [] in
-    Emulator.Trace.iter
-      (fun b -> acc := b :: !acc)
-      run_k.Cccs.Workload_run.exec.Emulator.Exec.trace;
-    Array.of_list (List.rev !acc)
+    Emulator.Trace.to_array run_k.Cccs.Workload_run.exec.Emulator.Exec.trace
   in
   let n = Array.length base in
+  let iter_visits f =
+    let i = ref 0 in
+    for _ = 1 to stream_target_visits do
+      f base.(!i);
+      i := if !i + 1 = n then 0 else !i + 1
+    done
+  in
   let path = Filename.temp_file "cccs_bench_stream" ".trc" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let t0 = mono_s () in
-      let w = Ts.create path in
-      let i = ref 0 in
-      while Ts.visits_written w < stream_target_visits do
-        Ts.add w base.(!i);
-        i := if !i + 1 = n then 0 else !i + 1
-      done;
-      Ts.close w;
-      let write_s = mono_s () -. t0 in
-      let file_bytes = (Unix.stat path).Unix.st_size in
-      let sch = Encoding.Full_huffman.build prog in
-      let cfg = Fetch.Config.default in
-      let att = Encoding.Att.build sch ~line_bits:cfg.Fetch.Config.line_bits prog in
-      let sim iter_blocks =
-        Fetch.Sim.run_iter ~model:Fetch.Config.Compressed ~cfg ~scheme:sch ~att
-          iter_blocks
+      let write_s =
+        measure ~window:0. ~check:ignore (fun () ->
+            let w = Ts.create path in
+            iter_visits (Ts.add w);
+            Ts.close w)
       in
-      (* Direct in-memory replay of the same visit sequence: the oracle the
-         streamed run must match bit for bit. *)
-      let expect =
-        sim (fun f ->
-            let i = ref 0 in
-            for _ = 1 to stream_target_visits do
-              f base.(!i);
-              i := if !i + 1 = n then 0 else !i + 1
-            done)
-      in
+      let model, cfg = Fetch.Config.of_scheme "full" in
+      let scheme = Encoding.Full_huffman.build prog in
+      let att = Encoding.Att.build scheme ~line_bits:cfg.line_bits prog in
+      let sim = Fetch.Sim.run_iter ~model ~cfg ~scheme ~att in
+      (* Direct in-memory replay of the same visit sequence: the oracle
+         every streamed replay must match bit for bit. *)
+      let expect = sim iter_visits in
+      (* Every streamed replay samples the heap every 65,536 visits: its
+         growth over the compacted heap the first replay started from
+         may not pass the cap. *)
+      let heap_words () = (Gc.quick_stat ()).Gc.heap_words in
       Gc.compact ();
-      let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+      let heap0 = heap_words () in
       let peak = ref heap0 in
-      let visits = ref 0 in
-      let t0 = mono_s () in
-      let streamed =
-        match
-          Ts.with_blocks path ~f:(fun iter_blocks ->
-              sim (fun f ->
-                  iter_blocks (fun b ->
-                      incr visits;
-                      if !visits land 0xFFFF = 0 then
-                        peak :=
-                          max !peak (Gc.quick_stat ()).Gc.heap_words;
-                      f b)))
-        with
-        | Ok r -> r
-        | Error e -> failwith ("bench fuzz: " ^ Ts.error_to_string e)
+      let grown () = (!peak - heap0) * (Sys.word_size / 8) in
+      let replay () =
+        let visits = ref 0 in
+        let streamed =
+          match
+            Ts.with_blocks path ~f:(fun iter_blocks ->
+                sim (fun f ->
+                    iter_blocks (fun b ->
+                        incr visits;
+                        if !visits land 0xFFFF = 0 then
+                          peak := max !peak (heap_words ());
+                        f b)))
+          with
+          | Ok r -> r
+          | Error e -> failwith ("bench fuzz: " ^ Ts.error_to_string e)
+        in
+        peak := max !peak (heap_words ());
+        (streamed, !visits)
       in
-      let replay_s = mono_s () -. t0 in
-      peak := max !peak (Gc.quick_stat ()).Gc.heap_words;
-      let heap_delta = (!peak - heap0) * (Sys.word_size / 8) in
-      let bounded = heap_delta <= stream_heap_cap_bytes in
-      if !visits <> stream_target_visits then
-        failwith "bench fuzz: streamed replay lost visits";
-      if streamed <> expect then
-        failwith "bench fuzz: streamed result differs from in-memory replay";
-      Printf.printf
-        "perf/stream/write    %d visits in %.2fs  (%.1f Mvisits/s, %d bytes)\n"
-        stream_target_visits write_s
-        (float_of_int stream_target_visits /. write_s /. 1e6)
-        file_bytes;
-      Printf.printf
-        "perf/stream/replay   %d visits in %.2fs  (%.1f Mvisits/s)  heap \
-         +%.1f MB (cap %d MB)%s\n%!"
-        streamed.Fetch.Sim.block_visits replay_s
-        (float_of_int stream_target_visits /. replay_s /. 1e6)
-        (float_of_int heap_delta /. 1e6)
-        (stream_heap_cap_bytes / 1024 / 1024)
-        (if bounded then "" else "  ** OVER CAP **");
-      if not bounded then
-        failwith "bench fuzz: streaming replay heap grew past the cap";
-      let open Cccs_obs.Json in
+      let check (streamed, visits) =
+        if visits <> stream_target_visits then
+          failwith "bench fuzz: streamed replay lost visits";
+        if streamed <> expect then
+          failwith "bench fuzz: streamed result differs from in-memory replay";
+        if grown () > stream_heap_cap_bytes then
+          failwith
+            (Printf.sprintf
+               "bench fuzz: streaming replay heap grew %.1f MB, past the %d MB \
+                cap"
+               (float_of_int (grown ()) /. 1e6)
+               (stream_heap_cap_bytes / 1024 / 1024))
+      in
+      let replay_s = measure ~window:0. ~check replay in
+      let visits = float_of_int stream_target_visits in
+      let write =
+        row "stream/write" ~rate:("visits_per_s", visits) write_s
+          Cccs_obs.Json.
+            [
+              ("visits", int stream_target_visits);
+              ("file_bytes", int (Unix.stat path).Unix.st_size);
+            ]
+      in
       [
-        Obj
-          [
-            ("name", Str "perf/stream/write");
-            ("visits", int stream_target_visits);
-            ("seconds", Num write_s);
-            ("visits_per_s", Num (float_of_int stream_target_visits /. write_s));
-            ("file_bytes", int file_bytes);
-          ];
-        Obj
-          [
-            ("name", Str "perf/stream/replay");
-            ("visits", int streamed.Fetch.Sim.block_visits);
-            ("seconds", Num replay_s);
-            ( "visits_per_s",
-              Num (float_of_int stream_target_visits /. replay_s) );
-            ("heap_peak_delta_bytes", int heap_delta);
-            ("heap_cap_bytes", int stream_heap_cap_bytes);
-            ("bounded", Bool bounded);
-          ];
+        write;
+        row "stream/replay" ~rate:("visits_per_s", visits) replay_s
+          Cccs_obs.Json.
+            [
+              ("visits", int stream_target_visits);
+              ("heap_peak_delta_bytes", int (grown ()));
+              ("heap_cap_bytes", int stream_heap_cap_bytes);
+              ("bounded", Bool true);
+            ];
       ])
 
 let run_fuzz_bench () =
-  Printf.printf
-    "CCCS fuzz — campaign throughput and streaming simulation\n%s\n"
-    (String.make 68 '-');
+  header "CCCS fuzz — campaign throughput and streaming simulation";
   let campaign = bspan "fuzz_campaign" fuzz_campaign_row in
   let streams = bspan "stream" stream_rows in
-  let rows = campaign :: streams in
-  write_perf_rows ~prefixes:[ "perf/fuzz/"; "perf/stream/" ] rows;
-  ledger_append ~kind:"bench_fuzz" rows
+  write_rows "BENCH_perf.json" ~kind:"bench_fuzz" (campaign :: streams)
+
+(* bench [perf|fuzz] [--flame FILE | --flame=FILE] *)
+let mode, flame =
+  let usage () =
+    prerr_endline "usage: bench [perf|fuzz] [--flame FILE | --flame=FILE]";
+    exit 124
+  in
+  let rec parse mode flame = function
+    | [] -> (mode, flame)
+    | (("perf" | "fuzz") as m) :: rest when mode = None ->
+        parse (Some m) flame rest
+    | "--flame" :: file :: rest when flame = None -> parse mode (Some file) rest
+    | a :: rest
+      when flame = None
+           && String.length a > 8
+           && String.starts_with ~prefix:"--flame=" a ->
+        parse mode (Some (String.sub a 8 (String.length a - 8))) rest
+    | _ -> usage ()
+  in
+  parse None None (List.tl (Array.to_list Sys.argv))
 
 let () =
-  let flame = flame_path () in
-  let rc =
-    match flame with
-    | None -> None
-    | Some _ -> Some (Cccs_obs.Recorder.create ())
-  in
-  (match rc with
-  | Some rc -> flame_obs := Some (Cccs_obs.Recorder.sink rc)
-  | None -> ());
-  (if Array.exists (( = ) "fuzz") Sys.argv then
-     bspan "fuzz" run_fuzz_bench
-   else if Array.exists (( = ) "perf") Sys.argv then bspan "perf" run_perf
-   else begin
-     Format.printf
-       "CCCS reproduction — Larin & Conte, MICRO-32 (1999)@.%s@.@."
-       (String.make 78 '=');
-     bspan "figures" (fun () -> Cccs.Report.all Format.std_formatter ());
-     write_obs (bspan "bechamel" run_benchmarks)
-   end);
+  let rc = Option.map (fun _ -> Cccs_obs.Recorder.create ()) flame in
+  flame_obs := Option.map Cccs_obs.Recorder.sink rc;
+  (match mode with
+  | Some "fuzz" -> bspan "fuzz" run_fuzz_bench
+  | Some _ -> bspan "perf" run_perf
+  | None ->
+      Format.printf
+        "CCCS reproduction — Larin & Conte, MICRO-32 (1999)@.%s@.@."
+        (String.make 78 '=');
+      bspan "figures" (fun () -> Cccs.Report.all Format.std_formatter ());
+      write_rows "BENCH_obs.json" ~kind:"bench"
+        (bspan "bechamel" run_benchmarks));
   match (flame, rc) with
   | Some path, Some rc ->
       let nodes = Cccs_obs.Flame.of_recorder rc in

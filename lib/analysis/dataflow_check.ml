@@ -199,5 +199,5 @@ let pass : (module Pass.S) =
       match t.Pass.cfg with
       | None -> []
       | Some cfg ->
-          check ~inputs:t.Pass.entry_defined ~workload:t.Pass.workload cfg
+          check ~inputs:[] ~workload:t.Pass.workload cfg
   end)

@@ -9,16 +9,13 @@ type target = {
   workload : string;
   cfg : Vliw_compiler.Cfg.t option;
       (* the register-allocated CFG, pre-scheduling *)
-  entry_defined : Vliw_compiler.Ir.vreg list;
-      (* registers assumed defined at entry (precolored inputs) *)
   program : Tepic.Program.t option;  (* the scheduled, packed program *)
   schemes : Encoding.Scheme.t list;  (* every built encoding scheme *)
   tailored : Encoding.Tailored.spec option;
 }
 
-let target ?cfg ?(entry_defined = []) ?program ?(schemes = []) ?tailored
-    workload =
-  { workload; cfg; entry_defined; program; schemes; tailored }
+let target ?cfg ?program ?(schemes = []) ?tailored workload =
+  { workload; cfg; program; schemes; tailored }
 
 module type S = sig
   val name : string

@@ -39,6 +39,4 @@ val lint_run : Workload_run.run -> Diag.t list
     one loaded workload, with loop bounds from the executed trace and the
     simulator-replay soundness checks (CCCS-E30x) enabled. *)
 val wcet_run :
-  ?default_loop_bound:int ->
-  Workload_run.run ->
-  (Diag.t list * Timing_check.wcet option) list
+  Workload_run.run -> (Diag.t list * Timing_check.wcet option) list

@@ -46,36 +46,48 @@ let all_schemes s =
 
 let every_scheme s = all_schemes s @ [ ("dict", s.dict) ]
 
+(* The ATT of [r]'s program under the scheme [sc] named [name], for lines
+   of [line_bits], memoized per domain like the schemes: Figures 7 and
+   13, the ablation and the superblock study read the same tables. *)
+let att_cache_key :
+    (string * string * int, Encoding.Att.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let att_of (r : Workload_run.run) name sc ~line_bits =
+  let att_cache = Domain.DLS.get att_cache_key in
+  let key = (r.Workload_run.name, name, line_bits) in
+  match Hashtbl.find_opt att_cache key with
+  | Some att -> att
+  | None ->
+      let prog = r.Workload_run.compiled.Pipeline.program in
+      let att = Encoding.Att.build sc ~line_bits prog in
+      Hashtbl.replace att_cache key att;
+      att
+
 (* [replay ?cfg r name sc] — the replay of [r]'s trace through the scheme
    [sc] named [name], on the model and cache [Config.of_scheme name] gives
-   it ([cfg] replaces the cache), and the ATT it reads, built on first
-   use. *)
+   it ([cfg] replaces the cache). *)
 let replay ?cfg (r : Workload_run.run) name sc =
   let model, scheme_cfg = Fetch.Config.of_scheme name in
   let cfg = Option.value cfg ~default:scheme_cfg in
-  let att =
-    lazy
-      (Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits
-         r.Workload_run.compiled.Pipeline.program)
-  in
-  ( att,
-    fun ?obs () ->
-      Fetch.Sim.run ?obs ~model ~cfg ~scheme:sc ~att:(Lazy.force att)
-        r.Workload_run.exec.Emulator.Exec.trace )
+  fun ?obs () ->
+    Fetch.Sim.run ?obs ~model ~cfg ~scheme:sc
+      ~att:(att_of r name sc ~line_bits:cfg.Fetch.Config.line_bits)
+      r.Workload_run.exec.Emulator.Exec.trace
 
-(* The four Figure 13 fetch models.  The ideal and base models share one
-   ATT. *)
+(* The four Figure 13 fetch models.  The ideal model reads the base
+   model's ATT. *)
 let fetch_models (r : Workload_run.run) =
   let s = schemes_of r in
-  let att_base, base = replay r "base" s.base in
+  let line_bits = Fetch.Config.((snd (of_scheme "base")).line_bits) in
   [
     ( "ideal",
       fun ?obs () ->
-        Fetch.Sim.run_ideal ?obs ~att:(Lazy.force att_base)
+        Fetch.Sim.run_ideal ?obs ~att:(att_of r "base" s.base ~line_bits)
           r.Workload_run.exec.Emulator.Exec.trace );
-    ("base", base);
-    ("compressed", snd (replay r "full" s.full));
-    ("tailored", snd (replay r "tailored" s.tailored));
+    ("base", replay r "base" s.base);
+    ("compressed", replay r "full" s.full);
+    ("tailored", replay r "tailored" s.tailored);
   ]
 
 type verdict = {
@@ -176,12 +188,11 @@ type fig7_row = {
 
 let fig7_for (r : Workload_run.run) =
   let s = schemes_of r in
-  let prog = r.Workload_run.compiled.Pipeline.program in
   let line_bits = Fetch.Config.default.Fetch.Config.line_bits in
   let totals =
     List.map
       (fun (name, sc) ->
-        let att = Encoding.Att.build sc ~line_bits prog in
+        let att = att_of r name sc ~line_bits in
         let total =
           sc.Encoding.Scheme.code_bits + sc.Encoding.Scheme.table_bits
           + att.Encoding.Att.compressed_bits
@@ -248,10 +259,9 @@ type ablation_row = {
 
 let ablation_for (r : Workload_run.run) =
   let s = schemes_of r in
-  let prog = r.Workload_run.compiled.Pipeline.program in
   let cfg = Fetch.Config.default in
   let comp_att =
-    Encoding.Att.build s.full ~line_bits:cfg.Fetch.Config.line_bits prog
+    att_of r "full" s.full ~line_bits:cfg.Fetch.Config.line_bits
   in
   {
     bench = r.Workload_run.name;
@@ -271,11 +281,10 @@ let predictors_for (r : Workload_run.run) =
   let cfg =
     { Fetch.Config.default with Fetch.Config.predictor = Fetch.Config.Gshare 12 }
   in
-  let _, gshare = replay ~cfg r "full" (schemes_of r).full in
   {
     bench = r.Workload_run.name;
     two_bit = (fig13_for r).compressed;
-    gshare = gshare ();
+    gshare = replay ~cfg r "full" (schemes_of r).full ();
   }
 
 type superblock_row = {
@@ -295,7 +304,7 @@ let superblocks_for (r : Workload_run.run) =
   let sb name sc =
     let model, cfg = Fetch.Config.of_scheme name in
     Fetch.Superblock.run ~model ~cfg ~scheme:sc
-      ~att:(Encoding.Att.build sc ~line_bits:cfg.Fetch.Config.line_bits prog)
+      ~att:(att_of r name sc ~line_bits:cfg.Fetch.Config.line_bits)
       units r.Workload_run.exec.Emulator.Exec.trace
   in
   let row13 = fig13_for r in
@@ -310,4 +319,5 @@ let superblocks_for (r : Workload_run.run) =
 
 let clear_cache () =
   Hashtbl.reset (Domain.DLS.get scheme_cache_key);
+  Hashtbl.reset (Domain.DLS.get att_cache_key);
   Hashtbl.reset (Domain.DLS.get fig13_cache_key)

@@ -3,7 +3,8 @@
 
     Every row function takes one loaded program and returns its row; the
     bench harness and the CLI render them.  All results are memoized per
-    domain through {!Workload_run}, {!schemes_of} and {!fig13_for}.
+    domain through {!Workload_run}, {!schemes_of}, {!fig13_for} and one
+    ATT per (program, scheme, line size).
 
     {!sweep} maps row functions over the eight SPEC programs on a
     {!Parallel} pool.  The row functions are deterministic, so parallel

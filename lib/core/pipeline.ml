@@ -11,8 +11,7 @@ let log_src = Logs.Src.create "cccs.pipeline" ~doc:"Compiler driver stages"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let compile ?obs ?(speculate = true) ?(profile_guided = false)
-    (w : Workloads.Gen.result) =
+let compile ?obs ?(profile_guided = false) (w : Workloads.Gen.result) =
   let alloc =
     Cccs_obs.Sink.timed ?obs ~stage:Cccs_obs.Event.Regalloc ~label:"regalloc"
     @@ fun () ->
@@ -45,8 +44,7 @@ let compile ?obs ?(speculate = true) ?(profile_guided = false)
   let sched =
     Cccs_obs.Sink.timed ?obs ~stage:Cccs_obs.Event.Schedule ~label:"schedule"
     @@ fun () ->
-    Vliw_compiler.Schedule.run ~speculate ?edge_profile
-      alloc.Vliw_compiler.Regalloc.cfg
+    Vliw_compiler.Schedule.run ?edge_profile alloc.Vliw_compiler.Regalloc.cfg
   in
   let program =
     Cccs_obs.Sink.timed ?obs ~stage:Cccs_obs.Event.Encode ~label:"layout"
@@ -88,8 +86,7 @@ let compile ?obs ?(speculate = true) ?(profile_guided = false)
     max_live = alloc.Vliw_compiler.Regalloc.max_live;
   }
 
-let compile_profile ?speculate p =
-  compile ?speculate (Workloads.Gen.generate p)
+let compile_profile p = compile (Workloads.Gen.generate p)
 
 let lint (c : compiled) =
   let target =

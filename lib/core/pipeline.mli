@@ -14,25 +14,24 @@ type compiled = {
   max_live : (Tepic.Reg.cls * int) list;
 }
 
-(** [compile ?obs ?speculate ?profile_guided w] — full back end on a
-    workload package.  [speculate] defaults to true (treegion speculation
-    on).  With [profile_guided:true] the driver first interprets the
-    allocated program (bounded) to collect edge counts, then lets each
-    speculation site pick its hottest successor — the profile feedback the
-    paper's compiler gets from its emulator.
+(** [compile ?obs ?profile_guided w] — full back end on a workload
+    package, with treegion speculation on.  With [profile_guided:true]
+    the driver first interprets the allocated program (bounded) to
+    collect edge counts, then lets each speculation site pick its hottest
+    successor — the profile feedback the paper's compiler gets from its
+    emulator.
 
     [obs] receives a wall-clock span per stage (regalloc, schedule,
     layout) plus per-stage gauges: spill slots, ILP, hoisted ops, static
     op/MOP counts and the baseline image bit size. *)
 val compile :
   ?obs:Cccs_obs.Sink.t ->
-  ?speculate:bool ->
   ?profile_guided:bool ->
   Workloads.Gen.result ->
   compiled
 
-(** [compile_profile ?speculate p] — generate then compile. *)
-val compile_profile : ?speculate:bool -> Workloads.Profile.t -> compiled
+(** [compile_profile p] — generate then compile. *)
+val compile_profile : Workloads.Profile.t -> compiled
 
 (** [lint c] — the compiler-side passes of the static verifier
     ({!Cccs_analysis}): IR/CFG dataflow lint on the allocated CFG and

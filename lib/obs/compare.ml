@@ -13,17 +13,19 @@
       reported but never compared — a meaningless baseline must not raise
       a meaningless regression.
 
-   2. Bootstrap confidence interval.  When both sides carry "samples",
-      the relative slowdown of the means is bootstrapped (percentile
-      method, deterministic per-row RNG); a verdict is only Regressed /
-      Improved when the whole interval is on one side of zero AND the
-      point estimate clears [rel_threshold].  Identical sample sets give
-      the degenerate interval [0,0] and therefore Unchanged — never a
-      false regression, for any seed.
+   2. Bootstrap confidence interval.  When both sides carry "samples"
+      in the unit of their metric (the metric lies within the range the
+      samples span), the relative slowdown of the means is bootstrapped
+      (percentile method, deterministic per-row RNG); a verdict is only
+      Regressed / Improved when the whole interval is on one side of
+      zero AND the point estimate clears [rel_threshold].  Identical
+      sample sets give the degenerate interval [0,0] and therefore
+      Unchanged — never a false regression, for any seed.
 
-   3. Point fallback.  Rows with only a point estimate need to move by
-      the larger [point_threshold] before they get a verdict: a number
-      with no error bars deserves wider margins. *)
+   3. Point fallback.  Rows with only a point estimate, or with samples
+      in another unit than their metric, need to move by the larger
+      [point_threshold] before they get a verdict: a number with no
+      error bars deserves wider margins. *)
 
 type direction = Lower_better | Higher_better
 
@@ -105,6 +107,16 @@ let pick_metric base cur =
     (fun (k, _) -> num_field k base <> None && num_field k cur <> None)
     metrics
 
+(* Samples measure the row's metric when the metric lies within the range
+   they span, up to a relative rounding tolerance.  Rows that recorded
+   their samples in another unit (image-decode rows once carried seconds
+   under [mb_per_s]) fail this, and bootstrapping them would compare the
+   wrong numbers. *)
+let in_unit metric samples =
+  let tol = 1e-6 *. Float.abs metric in
+  Array.fold_left Float.min infinity samples <= metric +. tol
+  && metric -. tol <= Array.fold_left Float.max neg_infinity samples
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic bootstrap *)
 
@@ -182,8 +194,9 @@ let compare_row cfg name base_j cur_j =
       else begin
         let ci =
           match (samples_field base_j, samples_field cur_j) with
-          | Some bs, Some cs when Array.length bs > 1 && Array.length cs > 1
-            ->
+          | Some bs, Some cs
+            when Array.length bs > 1 && Array.length cs > 1
+                 && in_unit base bs && in_unit cur cs ->
               Some (bootstrap_ci cfg ~name dir bs cs)
           | _ -> None
         in

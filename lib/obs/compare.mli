@@ -3,12 +3,14 @@
 
     Conservative by construction: rows whose own measurement did not
     converge (low/negative r-square or [trusted=false]) are {e
-    untrusted} and never compared; rows carrying ["samples"] arrays on
-    both sides get a deterministic percentile-bootstrap confidence
-    interval and only regress when the whole interval clears zero and
-    the point estimate clears [rel_threshold]; bare point estimates need
-    the wider [point_threshold].  Identical data always yields
-    [Unchanged], for any seed. *)
+    untrusted} and never compared; rows carrying ["samples"] arrays in
+    their metric's unit on both sides (the metric lies within the range
+    the samples span) get a deterministic percentile-bootstrap
+    confidence interval and only regress when the whole interval clears
+    zero and the point estimate clears [rel_threshold]; bare point
+    estimates, and samples in another unit, need the wider
+    [point_threshold].  Identical data always yields [Unchanged], for
+    any seed. *)
 
 type direction = Lower_better | Higher_better
 

@@ -41,8 +41,8 @@ let to_lines t =
 (* Fold a recorded stream into a metrics registry.  The three standard
    histograms are registered up front so that snapshots keep a stable
    schema even when a run produced no misses or recoveries. *)
-let summarize ?(metrics = Metrics.create ()) t =
-  let m = metrics in
+let summarize t =
+  let m = Metrics.create () in
   let miss_penalty = Metrics.histogram m "miss_penalty" in
   let block_latency = Metrics.histogram m "block_latency" in
   let recovery_latency = Metrics.histogram m "recovery_latency" in

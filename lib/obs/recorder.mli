@@ -20,10 +20,10 @@ val events : t -> Event.t array
     byte-compared by the determinism tests. *)
 val to_lines : t -> string
 
-(** Fold the stream into [metrics] (fresh registry by default): one
+(** Fold the stream into a fresh metrics registry: one
     ["event.<name>"] counter per fetch event, ["bus.flips"]/["bus.beats"]
     totals, ["span_us.<stage>"] gauges, and the three standard histograms
     ["miss_penalty"], ["block_latency"] and ["recovery_latency"] —
     registered up front so the snapshot schema is stable even for runs
     that produced no misses or recoveries. *)
-val summarize : ?metrics:Metrics.t -> t -> Metrics.t
+val summarize : t -> Metrics.t

@@ -233,6 +233,30 @@ let test_higher_better () =
   Alcotest.check verdict "throughput gain improves" Compare.Improved
     (one_verdict (Compare.rows ~base:(mk 60.) ~cur:(mk 120.) ()))
 
+(* Samples in another unit than the row's metric are not bootstrapped:
+   image-decode rows once recorded seconds under [mb_per_s], and halving
+   the throughput then read unchanged. *)
+let test_samples_in_other_unit () =
+  let mk mb_per_s seconds =
+    [
+      Json.Obj
+        [
+          ("name", Json.Str "perf/image-decode/full");
+          ("mb_per_s", Json.Num mb_per_s);
+          ("samples", Json.Arr (List.map (fun s -> Json.Num s) seconds));
+        ];
+    ]
+  in
+  let base = mk 100. [ 1.0e-4; 1.01e-4; 1.02e-4 ]
+  and cur = mk 50. [ 2.0e-4; 2.02e-4; 2.04e-4 ] in
+  match Compare.rows ~base ~cur () with
+  | [ r ] ->
+      Alcotest.check verdict "half the MB/s regresses" Compare.Regressed
+        r.Compare.verdict;
+      Alcotest.(check bool)
+        "point verdict, no interval" true (r.Compare.ci = None)
+  | l -> Alcotest.failf "expected one row, got %d" (List.length l)
+
 let test_snapshot_deltas () =
   let snap c g =
     Json.Obj
@@ -405,4 +429,6 @@ let suite =
     Alcotest.test_case "histogram merge exact" `Quick test_merge_exact;
     QCheck_alcotest.to_alcotest merge_percentile_prop;
     Alcotest.test_case "ledger record" `Quick test_record;
+    Alcotest.test_case "compare skips samples in another unit" `Quick
+      test_samples_in_other_unit;
   ]
