@@ -1,13 +1,9 @@
-(* Benchmark harness.
-
-   Running this executable first regenerates every table and figure of the
-   paper's evaluation (printed as text tables; see EXPERIMENTS.md for the
-   recorded paper-vs-measured comparison), then times the pipeline stage
-   behind each figure with Bechamel — one Test.make per experiment, plus
-   the substrate operations they are built from. *)
-
-open Bechamel
-open Toolkit
+(* Benchmark harness: `bench perf` times decode, image decode, fetch
+   replay, compile, emulate, scheme build and the jobs=1 vs 4 sweep;
+   `bench fuzz` the fuzz campaign and the bounded-memory trace stream;
+   with no mode it runs both.  Each row is timed by [measure] on the
+   monotonic clock and built by [row]; both modes write BENCH_perf.json.
+   The paper's figures themselves are `cccs all` (see EXPERIMENTS.md). *)
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures: one small SPEC-like program and one kernel.        *)
@@ -20,7 +16,6 @@ let fixture = load "compress"
 let kernel = load "fir"
 
 let program () = (Lazy.force fixture).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-let trace () = (Lazy.force fixture).Cccs.Workload_run.exec.Emulator.Exec.trace
 
 (* ------------------------------------------------------------------ *)
 (* Cross-run plumbing: the report writer and --flame spans.            *)
@@ -31,8 +26,7 @@ let trace () = (Lazy.force fixture).Cccs.Workload_run.exec.Emulator.Exec.trace
    (CCCS_LEDGER=off disables), so `cccs perfdiff` can compare consecutive
    runs.  `bench perf` and `bench fuzz` share BENCH_perf.json: a write
    replaces each row family ("decode" for "perf/decode/full") that [rows]
-   bring and keeps the file's other families.  Rows outside "perf/" have
-   no family, so BENCH_obs.json is rewritten whole. *)
+   bring and keeps the file's other families. *)
 let write_rows path ~kind ?schemes rows =
   let open Cccs_obs.Json in
   let family r =
@@ -76,261 +70,7 @@ let bspan label f =
   | Some obs -> Cccs_obs.Sink.timed ~obs ~stage:Cccs_obs.Event.Bench ~label f
 
 (* ------------------------------------------------------------------ *)
-(* One benchmark group per figure.                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Figure 5: the compression schemes themselves. *)
-let bench_fig5 =
-  Test.make_grouped ~name:"fig5" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"byte_huffman"
-        (Staged.stage (fun () -> Encoding.Byte_huffman.build (program ())));
-      Test.make ~name:"full_huffman"
-        (Staged.stage (fun () -> Encoding.Full_huffman.build (program ())));
-      Test.make ~name:"stream_huffman"
-        (Staged.stage (fun () -> Encoding.Stream_huffman.build (program ())));
-      Test.make ~name:"tailored"
-        (Staged.stage (fun () -> Encoding.Tailored.build (program ())));
-    ]
-
-(* Figure 7: ATT generation. *)
-let bench_fig7 =
-  let scheme = lazy (Encoding.Full_huffman.build (program ())) in
-  Test.make_grouped ~name:"fig7" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"att_build"
-        (Staged.stage (fun () ->
-             Encoding.Att.build (Lazy.force scheme) ~line_bits:240 (program ())));
-    ]
-
-(* Figure 10: decoder complexity evaluation. *)
-let bench_fig10 =
-  Test.make_grouped ~name:"fig10" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"decoder_cost"
-        (Staged.stage (fun () -> Huffman.Decoder_cost.transistors ~n:16 ~m:40));
-    ]
-
-(* Figure 13: the fetch simulators. *)
-let bench_fig13 =
-  let mk model cfg scheme =
-    let sch = lazy (scheme (program ())) in
-    let att =
-      lazy
-        (Encoding.Att.build (Lazy.force sch)
-           ~line_bits:cfg.Fetch.Config.line_bits (program ()))
-    in
-    Staged.stage (fun () ->
-        Fetch.Sim.run ~model ~cfg ~scheme:(Lazy.force sch)
-          ~att:(Lazy.force att) (trace ()))
-  in
-  Test.make_grouped ~name:"fig13" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"sim_base"
-        (mk Fetch.Config.Base Fetch.Config.default_base Encoding.Baseline.build);
-      Test.make ~name:"sim_compressed"
-        (mk Fetch.Config.Compressed Fetch.Config.default
-           Encoding.Full_huffman.build);
-      Test.make ~name:"sim_tailored"
-        (mk Fetch.Config.Tailored Fetch.Config.default Encoding.Tailored.build);
-    ]
-
-(* Figure 14 measures the same runs as Figure 13; its distinct cost is the
-   bus transition accounting. *)
-let bench_fig14 =
-  let image = lazy (Encoding.Baseline.build (program ())).Encoding.Scheme.image in
-  Test.make_grouped ~name:"fig14" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"bus_line_flips"
-        (Staged.stage (fun () ->
-             let bus =
-               Fetch.Bus.create Fetch.Config.default ~image:(Lazy.force image)
-             in
-             for line = 0 to 63 do
-               ignore (Fetch.Bus.fetch_line bus line)
-             done;
-             Fetch.Bus.total_flips bus));
-    ]
-
-(* Substrate: the pieces every figure depends on. *)
-let bench_substrate =
-  Test.make_grouped ~name:"substrate" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"baseline_encode"
-        (Staged.stage (fun () -> Tepic.Program.baseline_image (program ())));
-      Test.make ~name:"compile_kernel"
-        (Staged.stage (fun () ->
-             Cccs.Pipeline.compile (Workloads.Kernels.fir ~taps:16 ~samples:16)));
-      Test.make ~name:"emulate_kernel"
-        (Staged.stage (fun () ->
-             Emulator.Exec.run
-               (Lazy.force kernel).Cccs.Workload_run.compiled
-                 .Cccs.Pipeline.program));
-      Test.make ~name:"huffman_codebook_256"
-        (Staged.stage (fun () ->
-             let freq = Huffman.Freq.create () in
-             for i = 0 to 255 do
-               Huffman.Freq.add_many freq i ((i * 37 mod 251) + 1)
-             done;
-             Huffman.Codebook.make ~max_len:12 ~symbol_bits:(fun _ -> 8) freq));
-    ]
-
-(* Extensions: superblock fetch units and gshare prediction. *)
-let bench_extensions =
-  let units = lazy (Fetch.Superblock.form (program ())) in
-  let base = lazy (Encoding.Baseline.build (program ())) in
-  let att =
-    lazy
-      (Encoding.Att.build (Lazy.force base)
-         ~line_bits:Fetch.Config.default_base.Fetch.Config.line_bits
-         (program ()))
-  in
-  Test.make_grouped ~name:"extensions" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"superblock_form"
-        (Staged.stage (fun () -> Fetch.Superblock.form (program ())));
-      Test.make ~name:"superblock_sim"
-        (Staged.stage (fun () ->
-             Fetch.Superblock.run ~model:Fetch.Config.Base
-               ~cfg:Fetch.Config.default_base ~scheme:(Lazy.force base)
-               ~att:(Lazy.force att) (Lazy.force units) (trace ())));
-      Test.make ~name:"gshare_sim"
-        (Staged.stage (fun () ->
-             let cfg =
-               {
-                 Fetch.Config.default_base with
-                 Fetch.Config.predictor = Fetch.Config.Gshare 12;
-               }
-             in
-             Fetch.Sim.run ~model:Fetch.Config.Base ~cfg
-               ~scheme:(Lazy.force base) ~att:(Lazy.force att) (trace ())));
-    ]
-
-(* The verifier, one group per check and one row per scheme × workload,
-   so a slowdown shows up in BENCH_obs.json like any other pipeline-stage
-   regression:
-   - validate: abstract decode + resync analysis;
-   - certify: DFA construction + exhaustive totality, LUT and resync
-     proofs, all static work over the published tables, so its cost is
-     independent of program length and should stay flat;
-   - wcet: CFG recovery + must/may fixpoint + WCET + the full
-     simulator-replay soundness check — the end-to-end cost of one
-     `cccs wcet` row. *)
-let bench_verifier =
-  let schemes =
-    [
-      ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
-      ("byte", fun sl -> sl.Cccs.Experiments.byte);
-      ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
-      ("full", fun sl -> sl.Cccs.Experiments.full);
-      ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
-      ("dict", fun sl -> sl.Cccs.Experiments.dict);
-    ]
-  in
-  let checks =
-    [
-      ( "validate",
-        fun ~workload ~program ~trace:_ sl sc ->
-          ignore
-            (Cccs.Analysis.Image_check.check_scheme ~workload ~program
-               ~tailored:sl.Cccs.Experiments.tailored_spec ~resync_blocks:2 sc)
-      );
-      ( "certify",
-        fun ~workload ~program ~trace:_ _ sc ->
-          ignore (Cccs.Analysis.Certify.certify_scheme ~workload ~program sc) );
-      ( "wcet",
-        fun ~workload ~program ~trace sl sc ->
-          ignore
-            (Cccs.Analysis.Timing_check.analyze_scheme ~workload ~program
-               ~tailored:sl.Cccs.Experiments.tailored_spec ~trace sc) );
-    ]
-  in
-  let tests_of check (run, workload) =
-    let s = lazy (Cccs.Experiments.schemes_of (Lazy.force run)) in
-    let program =
-      lazy (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-    in
-    let trace =
-      lazy (Lazy.force run).Cccs.Workload_run.exec.Emulator.Exec.trace
-    in
-    List.map
-      (fun (name, sc_of) ->
-        Test.make ~name:(workload ^ ":" ^ name)
-          (Staged.stage (fun () ->
-               let sl = Lazy.force s in
-               check ~workload ~program:(Lazy.force program)
-                 ~trace:(Lazy.force trace) sl (sc_of sl))))
-      schemes
-  in
-  List.map
-    (fun (group, check) ->
-      Test.make_grouped ~name:group ~fmt:"%s/%s"
-        (List.concat_map (tests_of check)
-           [ (fixture, "compress"); (kernel, "fir") ]))
-    checks
-
-let all_tests =
-  Test.make_grouped ~name:"cccs" ~fmt:"%s %s"
-    ([ bench_fig5; bench_fig7; bench_fig10; bench_fig13; bench_fig14;
-       bench_substrate; bench_extensions ]
-    @ bench_verifier)
-
-let run_benchmarks () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  (* Noise fix: the old limit:200 / quota:0.5s / default Geometric 1.01
-     sampling gave some rows so few (and so uniform) run counts that the
-     OLS fit had negative r-square.  A 1s minimum-runtime quota, a higher
-     sample cap and a steeper sampling ratio give the fit real spread;
-     rows that still miss the r-square gate (e.g. certify/compress runs
-     near the quota itself) are marked untrusted below rather than
-     compared. *)
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0)
-      ~sampling:(`Geometric 1.05) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances all_tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n%-42s %16s %8s\n" "benchmark" "ns/run" "r^2";
-  Printf.printf "%s\n" (String.make 68 '-');
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.filter_map
-    (fun (name, ols_result) ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> e
-        | _ -> nan
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
-      in
-      let trusted = Float.is_finite r2 && r2 >= 0.9 in
-      Printf.printf "%-42s %16.1f %8.3f%s\n" name est r2
-        (if trusted then "" else "  (untrusted)");
-      (* The row of BENCH_obs.json, the machine-readable copy of the
-         table CI archives so timing regressions can be compared across
-         runs. *)
-      if Float.is_nan est then None
-      else
-        Some
-          Cccs_obs.Json.(
-            Obj
-              [
-                ("name", Str name);
-                ("ns_per_run", Num est);
-                ("r_square", Num r2);
-                ("trusted", Bool trusted);
-              ]))
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
-(* perf and fuzz groups.  `bench perf` skips the Bechamel suite and   *)
-(* times decode, image decode, fetch replay, compile, emulate, scheme *)
-(* build and the jobs=1 vs 4 sweep; `bench fuzz` the fuzz campaign    *)
-(* and the bounded-memory trace stream.  [measure] times every row    *)
-(* and [row] builds it; both modes write BENCH_perf.json.             *)
+(* Timing and rows.                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* [measure ?n ?window ~check f] — [n] samples (default 3) of the seconds
@@ -341,14 +81,14 @@ let run_benchmarks () =
 let measure ?(n = 3) ?(window = 0.2) ~check f =
   List.init n (fun _ ->
       let calls = ref 0 and spent = ref 0.0 in
-      while !calls = 0 || !spent < window *. 1e9 do
-        let t0 = Monotonic_clock.get () in
+      while !calls = 0 || !spent < window do
+        let t0 = Cccs_obs.Clock.now () in
         let r = f () in
-        spent := !spent +. (Monotonic_clock.get () -. t0);
+        spent := !spent +. (Cccs_obs.Clock.now () -. t0);
         check r;
         incr calls
       done;
-      !spent /. 1e9 /. float_of_int !calls)
+      !spent /. float_of_int !calls)
 
 (* A [check] that every result equals the first. *)
 let repeats what =
@@ -899,16 +639,8 @@ let mode, flame =
 let () =
   let rc = Option.map (fun _ -> Cccs_obs.Recorder.create ()) flame in
   flame_obs := Option.map Cccs_obs.Recorder.sink rc;
-  (match mode with
-  | Some "fuzz" -> bspan "fuzz" run_fuzz_bench
-  | Some _ -> bspan "perf" run_perf
-  | None ->
-      Format.printf
-        "CCCS reproduction — Larin & Conte, MICRO-32 (1999)@.%s@.@."
-        (String.make 78 '=');
-      bspan "figures" (fun () -> Cccs.Report.all Format.std_formatter ());
-      write_rows "BENCH_obs.json" ~kind:"bench"
-        (bspan "bechamel" run_benchmarks));
+  if mode <> Some "fuzz" then bspan "perf" run_perf;
+  if mode <> Some "perf" then bspan "fuzz" run_fuzz_bench;
   match (flame, rc) with
   | Some path, Some rc ->
       let nodes = Cccs_obs.Flame.of_recorder rc in

@@ -7,9 +7,10 @@
 
    Every subcommand keeps one contract (README, "Command-line contract"):
    exit 0 when the run is ok, 1 on a failed verdict, 2 when an input file
-   or the ledger cannot be read, and cmdliner's 124 for a rejected command
-   line; under --json, stdout carries one object that opens with [schema]
-   and [ok], and the human-readable report moves to stderr. *)
+   or the ledger cannot be read or an output file cannot be written, and
+   cmdliner's 124 for a rejected command line; under --json, stdout
+   carries one object that opens with [schema] and [ok], and the
+   human-readable report moves to stderr. *)
 
 open Cmdliner
 module Json = Cccs_obs.Json
@@ -110,16 +111,36 @@ let perfetto_arg =
 (* Plumbing shared by the reporting subcommands.                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] with a span recorder's sink when --flame names a file, then
-   write the recorded spans there. *)
-let with_flame path f =
+(* An input file or the ledger cannot be read, or holds nothing usable, or
+   an output file cannot be written: report it and exit 2. *)
+let file_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Logs.err (fun m -> m "%s" msg);
+      exit 2)
+    fmt
+
+(* [with_file ~what path f] — [f path], the one way a subcommand reads or
+   writes a file named on its command line: when the file cannot be read
+   or written, report [what: path: reason] and exit 2. *)
+let with_file ~what path f =
+  try f path with Sys_error msg -> file_error "%s: %s" what msg
+
+let read_file ~what path =
+  with_file ~what path (fun path ->
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* Run [f] with a span recorder's sink when [cmd]'s --flame names a file,
+   then write the recorded spans there. *)
+let with_flame ~cmd path f =
   match path with
   | None -> f None
   | Some path ->
       let rc = Cccs_obs.Recorder.create () in
       let res = f (Some (Cccs_obs.Recorder.sink rc)) in
       let nodes = Cccs_obs.Flame.of_recorder rc in
-      Cccs_obs.Flame.write ~path nodes;
+      with_file ~what:(cmd ^ ": --flame") path (fun path ->
+          Cccs_obs.Flame.write ~path nodes);
       Logs.app (fun m ->
           m "wrote flamegraph (%d root span(s), %.1f ms instrumented) to %s"
             (List.length nodes)
@@ -141,20 +162,6 @@ let finish ?(gate = true) ~json ~schema ~ok fields =
          (Json.Obj
             (("schema", Json.Str schema) :: ("ok", Json.Bool ok) :: fields)));
   exit (if ok || not gate then 0 else 1)
-
-(* An input file or the ledger cannot be read, or holds nothing usable:
-   report it and exit 2. *)
-let unreadable fmt =
-  Format.kasprintf
-    (fun msg ->
-      Logs.err (fun m -> m "%s" msg);
-      exit 2)
-    fmt
-
-(* A file named on the command line. *)
-let read_file ~what path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> unreadable "%s: %s" what msg
 
 let ledger_append ~kind ~jobs ?schemes ~meta rows =
   Cccs_obs.Ledger.record ~kind ~timestamp:(Unix.gettimeofday ())
@@ -240,7 +247,7 @@ let list_cmd =
 
 let compile_cmd =
   let run () e flame =
-    with_flame flame (fun obs ->
+    with_flame ~cmd:"compile" flame (fun obs ->
         let r = Cccs.Workload_run.load ?obs e in
         let c = r.Cccs.Workload_run.compiled in
         let prog = c.Cccs.Pipeline.program in
@@ -327,10 +334,10 @@ let decode_cmd =
         r.Cccs.Workload_run.compiled.Cccs.Pipeline.program
     in
     let decoded =
-      with_flame flame (fun obs ->
-          let t0 = Unix.gettimeofday () in
+      with_flame ~cmd:"decode" flame (fun obs ->
+          let t0 = Cccs_obs.Clock.now () in
           Cccs.Par_decode.decode ?obs sc
-          |> Result.map (fun d -> (d, Unix.gettimeofday () -. t0)))
+          |> Result.map (fun d -> (d, Cccs_obs.Clock.now () -. t0)))
     in
     match decoded with
     | Error err ->
@@ -346,7 +353,8 @@ let decode_cmd =
         in
         Option.iter
           (fun path ->
-            Out_channel.with_open_bin path (fun oc -> output_string oc img))
+            with_file ~what:"decode: --out" path (fun path ->
+                Out_channel.with_open_bin path (fun oc -> output_string oc img)))
           out;
         let ppf = report_to json in
         Format.fprintf ppf "workload       %s@." e.name;
@@ -386,7 +394,7 @@ let simulate_cmd =
        per-event fetch stream, which has its own --perfetto recorders, one
        per model, so the export shows the four models as separate named
        processes. *)
-    with_flame flame (fun fobs ->
+    with_flame ~cmd:"simulate" flame (fun fobs ->
         let r = Cccs.Workload_run.load ?obs:fobs e in
         let runs =
           List.map
@@ -410,9 +418,10 @@ let simulate_cmd =
         List.iter (fun (res, _) -> Format.printf "%a@." Fetch.Sim.pp res) runs;
         Option.iter
           (fun path ->
-            Cccs_obs.Export.write_file path
-              (Json.to_string
-                 (Cccs_obs.Export.chrome_trace (List.filter_map snd runs)));
+            with_file ~what:"simulate: --perfetto" path (fun path ->
+                Cccs_obs.Export.write_file path
+                  (Json.to_string
+                     (Cccs_obs.Export.chrome_trace (List.filter_map snd runs))));
             Logs.app (fun m -> m "wrote Perfetto trace to %s" path))
           perfetto)
   in
@@ -466,21 +475,30 @@ let trace_cmd =
              the stage spans as a Perfetto timeline. *)
           let rc = Cccs_obs.Recorder.create () in
           let r = Cccs.Workload_run.load ~obs:(Cccs_obs.Recorder.sink rc) e in
-          Cccs_obs.Export.write_file p
-            (Json.to_string
-               (Cccs_obs.Export.chrome_trace
-                  [ ("pipeline", Cccs_obs.Recorder.events rc) ]));
+          with_file ~what:"trace: --perfetto" p (fun p ->
+              Cccs_obs.Export.write_file p
+                (Json.to_string
+                   (Cccs_obs.Export.chrome_trace
+                      [ ("pipeline", Cccs_obs.Recorder.events rc) ])));
           Logs.app (fun m -> m "wrote Perfetto span trace to %s" p);
           r
     in
     let t = r.Cccs.Workload_run.exec.Emulator.Exec.trace in
-    Emulator.Trace.save t path;
+    with_file ~what:"trace" path (fun path ->
+        let module Ts = Workloads.Trace_stream in
+        let w = Ts.create path in
+        Emulator.Trace.iter (Ts.add w) t;
+        Ts.record_ops w ~ops:(Emulator.Trace.total_ops t)
+          ~mops:(Emulator.Trace.total_mops t);
+        Ts.close w);
     Printf.printf "wrote %d block visits (%d ops) to %s\n"
       (Emulator.Trace.length t) (Emulator.Trace.total_ops t) path
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Execute a workload and save its block-address trace to a file")
+       ~doc:
+         "Execute a workload and save its block-address trace to a file \
+          (the chunked CCCSTRC1 format of Workloads.Trace_stream)")
     Term.(const run $ setup_logs $ bench_arg $ path_arg $ perfetto_arg)
 
 (* One workload's row of `cccs verify`.  A [*_failed] list names the
@@ -551,7 +569,7 @@ let verify_cmd =
   (* The eight checks of one workload: its row and its report lines (the
      error diagnostics, then the row line). *)
   let check (e : Workloads.Suite.entry) =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Cccs_obs.Clock.now () in
     let r = Cccs.Workload_run.load e in
     let c = r.Cccs.Workload_run.compiled in
     let prog = c.Cccs.Pipeline.program in
@@ -636,7 +654,7 @@ let verify_cmd =
           (match ratios with
           | [] -> None
           | f :: fs -> Some (List.fold_left Float.min f fs));
-        seconds = Unix.gettimeofday () -. t0;
+        seconds = Cccs_obs.Clock.now () -. t0;
       }
     in
     let line =
@@ -821,12 +839,12 @@ let validate_cmd =
         Format.fprintf out "%s:@." workload;
         List.map
           (fun (sc : Encoding.Scheme.t) ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Cccs_obs.Clock.now () in
             let diags, summary =
               Cccs.Analysis.Image_check.check_scheme ~workload ~program
                 ?tailored:t.Cccs.Analysis.Pass.tailored ~resync_blocks sc
             in
-            let seconds = Unix.gettimeofday () -. t0 in
+            let seconds = Cccs_obs.Clock.now () -. t0 in
             note diags;
             let open Cccs.Analysis.Image_check in
             Format.fprintf out
@@ -1200,7 +1218,14 @@ let fuzz_cmd =
   in
   let run () seed runs time_budget jobs json fixtures_dir =
     let spec = { Cccs_fuzz.Fuzz.seed; runs; jobs; time_budget; fixtures_dir } in
-    let r = Cccs_fuzz.Fuzz.run spec in
+    (* The campaign writes its fixtures last, into --fixtures-dir. *)
+    let r =
+      match fixtures_dir with
+      | None -> Cccs_fuzz.Fuzz.run spec
+      | Some dir ->
+          with_file ~what:"fuzz: --fixtures-dir" dir (fun _ ->
+              Cccs_fuzz.Fuzz.run spec)
+    in
     let t = r.Cccs_fuzz.Fuzz.tallies in
     let findings = r.Cccs_fuzz.Fuzz.findings in
     let cases_per_s =
@@ -1272,10 +1297,10 @@ let perfdiff_cmd =
   in
   let kind_arg =
     let doc =
-      "Ledger entry kind to compare: $(b,bench), $(b,bench_perf), \
-       $(b,bench_fuzz), $(b,verify_all), $(b,faults) or $(b,fuzz)."
+      "Ledger entry kind to compare: $(b,bench_perf), $(b,bench_fuzz), \
+       $(b,verify_all), $(b,faults) or $(b,fuzz)."
     in
-    Arg.(value & opt string "bench" & info [ "kind" ] ~docv:"KIND" ~doc)
+    Arg.(value & opt string "bench_perf" & info [ "kind" ] ~docv:"KIND" ~doc)
   in
   let threshold_arg =
     let doc =
@@ -1301,7 +1326,7 @@ let perfdiff_cmd =
         with
         | Some rows, _ | None, Some rows -> rows
         | None, None ->
-            unreadable
+            file_error
               "perfdiff: %s has neither a \"results\" nor a \"rows\" array"
               path)
     | Error _ -> (
@@ -1313,7 +1338,7 @@ let perfdiff_cmd =
         match Cccs_obs.Ledger.last ~kind entries with
         | Some e -> e.Cccs_obs.Ledger.rows
         | None ->
-            unreadable
+            file_error
               "perfdiff: no %S entry in %s (and it is not a JSON report)" kind
               path)
   in
@@ -1330,7 +1355,7 @@ let perfdiff_cmd =
       match cur_entry with
       | Some e -> e
       | None ->
-          unreadable "perfdiff: no %S entry in %s — run the benchmark first"
+          file_error "perfdiff: no %S entry in %s — run the benchmark first"
             kind ledger_path
     in
     let base_rows, base_desc =
@@ -1343,7 +1368,7 @@ let perfdiff_cmd =
                 Printf.sprintf "ledger %s @ %.0f" e.Cccs_obs.Ledger.git_rev
                   e.Cccs_obs.Ledger.timestamp )
           | None ->
-              unreadable
+              file_error
                 "perfdiff: only one %S entry in %s and no --baseline — \
                  nothing to compare against"
                 kind ledger_path)
@@ -1379,10 +1404,9 @@ let perfdiff_cmd =
               Printf.sprintf "  [%+.1f%%, %+.1f%%]" (100. *. lo) (100. *. hi)
           | None -> ""))
       rows;
-    Format.fprintf out
-      "perfdiff: %d improved, %d regressed, %d unchanged, %d untrusted@."
+    Format.fprintf out "perfdiff: %d improved, %d regressed, %d unchanged@."
       s.Cccs_obs.Compare.improved s.Cccs_obs.Compare.regressed
-      s.Cccs_obs.Compare.unchanged s.Cccs_obs.Compare.untrusted;
+      s.Cccs_obs.Compare.unchanged;
     let open Json in
     finish ~gate:(not warn_only) ~json ~schema:"cccs-perfdiff/1"
       ~ok:(not (Cccs_obs.Compare.any_regressed rows))
@@ -1395,7 +1419,6 @@ let perfdiff_cmd =
             [
               ("rel", Num config.Cccs_obs.Compare.rel_threshold);
               ("point", Num config.Cccs_obs.Compare.point_threshold);
-              ("r2_gate", Num config.Cccs_obs.Compare.r2_gate);
             ] );
         ("rows", Arr (List.map Cccs_obs.Compare.row_to_json rows));
         ( "summary",
@@ -1404,7 +1427,6 @@ let perfdiff_cmd =
               ("improved", int s.Cccs_obs.Compare.improved);
               ("regressed", int s.Cccs_obs.Compare.regressed);
               ("unchanged", int s.Cccs_obs.Compare.unchanged);
-              ("untrusted", int s.Cccs_obs.Compare.untrusted);
             ] );
       ]
   in
@@ -1413,8 +1435,8 @@ let perfdiff_cmd =
        ~doc:
          "Statistically compare the latest ledger entry against the \
           previous one (or an explicit baseline file): bootstrap \
-          confidence intervals where samples exist, an r-square noise \
-          gate for untrusted rows, and exit 1 on a confirmed regression")
+          confidence intervals where samples exist, a wider point \
+          threshold where they do not, and exit 1 on a confirmed regression")
     Term.(
       const run $ setup_logs $ baseline_arg $ ledger_arg $ kind_arg
       $ threshold_arg $ warn_arg $ json_arg "cccs-perfdiff/1")
@@ -1505,7 +1527,7 @@ let stats_cmd =
           match Json.parse (read_file ~what:"stats: --baseline" path) with
           | Ok j ->
               (path, j, Cccs_obs.Compare.snapshot_deltas ~base:j ~cur:snapshot)
-          | Error msg -> unreadable "stats: --baseline %s: %s" path msg)
+          | Error msg -> file_error "stats: --baseline %s: %s" path msg)
         baseline
     in
     let out = report_to json in

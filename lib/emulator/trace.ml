@@ -42,35 +42,3 @@ let iter f t =
   done
 
 let to_array t = Array.sub t.data 0 t.len
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "cccs-trace 1 %d %d %d\n" t.len t.ops t.mops;
-      for i = 0 to t.len - 1 do
-        Printf.fprintf oc "%d\n" t.data.(i)
-      done)
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let header = input_line ic in
-      let len, ops, mops =
-        match String.split_on_char ' ' header with
-        | [ "cccs-trace"; "1"; l; o; m ] -> (
-            try (int_of_string l, int_of_string o, int_of_string m)
-            with _ -> failwith "Trace.load: bad header")
-        | _ -> failwith "Trace.load: bad header"
-      in
-      let t = create () in
-      for _ = 1 to len do
-        match int_of_string_opt (input_line ic) with
-        | Some b -> add t b
-        | None -> failwith "Trace.load: bad entry"
-      done;
-      record_ops t ~ops ~mops;
-      t)

@@ -27,17 +27,3 @@ val iter : (int -> unit) -> t -> unit
 
 (** [to_array t] — the full visited sequence (copied). *)
 val to_array : t -> int array
-
-(** {1 Serialization}
-
-    The paper's methodology emits an instruction-address trace for the
-    cache simulations; these functions provide the equivalent on-disk
-    artifact.  The format is a small text header followed by one block id
-    per line. *)
-
-(** [save t path] — write the trace.  Raises [Sys_error] on I/O failure. *)
-val save : t -> string -> unit
-
-(** [load path] — read a trace written by {!save}.
-    Raises [Failure] on a malformed file. *)
-val load : string -> t

@@ -911,7 +911,7 @@ let zero_tallies =
   }
 
 let run spec =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Cccs_obs.Clock.now () in
   let deadline =
     if spec.time_budget > 0. then Some (t0 +. spec.time_budget) else None
   in
@@ -920,7 +920,7 @@ let run spec =
     Cccs.Parallel.map ?jobs:spec.jobs
       (fun id ->
         match deadline with
-        | Some d when Unix.gettimeofday () > d -> None
+        | Some d when Cccs_obs.Clock.now () > d -> None
         | _ ->
             let case, ev =
               match case_of_id ~seed:spec.seed id with
@@ -969,5 +969,5 @@ let run spec =
     spec;
     tallies = !tallies;
     findings;
-    seconds = Unix.gettimeofday () -. t0;
+    seconds = Cccs_obs.Clock.now () -. t0;
   }

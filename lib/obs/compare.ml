@@ -1,19 +1,12 @@
 (* Statistical regression detection between two sets of benchmark rows.
 
    Rows are the JSON objects the bench/ledger writers emit: each carries a
-   "name", one or more numeric metrics ("ns_per_run", "mb_per_s",
-   "seconds", ...), optionally a "samples" array of repeated measurements
-   and a measurement-quality tag ("trusted" bool, or the raw "r_square"
-   the OLS fit produced).
+   "name", one or more numeric metrics ("mb_per_s", "seconds", ...) and
+   optionally a "samples" array of repeated measurements.
 
-   The comparison is deliberately conservative, in this order:
+   The comparison is deliberately conservative:
 
-   1. Noise gate.  A row whose own measurement did not converge (negative
-      or low r-square, or an explicit trusted=false) is *untrusted*: it is
-      reported but never compared — a meaningless baseline must not raise
-      a meaningless regression.
-
-   2. Bootstrap confidence interval.  When both sides carry "samples"
+   1. Bootstrap confidence interval.  When both sides carry "samples"
       in the unit of their metric (the metric lies within the range the
       samples span), the relative slowdown of the means is bootstrapped
       (percentile method, deterministic per-row RNG); a verdict is only
@@ -22,7 +15,7 @@
       sample sets give the degenerate interval [0,0] and therefore
       Unchanged — never a false regression, for any seed.
 
-   3. Point fallback.  Rows with only a point estimate, or with samples
+   2. Point fallback.  Rows with only a point estimate, or with samples
       in another unit than their metric, need to move by the larger
       [point_threshold] before they get a verdict: a number with no
       error bars deserves wider margins. *)
@@ -30,7 +23,8 @@
 type direction = Lower_better | Higher_better
 
 (* Known metric fields, in the order we prefer them when a row carries
-   several. *)
+   several.  "ns_per_run" is the metric of older "bench" ledger entries,
+   which are still compared. *)
 let metrics =
   [
     ("ns_per_run", Lower_better);
@@ -40,20 +34,18 @@ let metrics =
     ("seconds", Lower_better);
   ]
 
-type verdict = Improved | Regressed | Unchanged | Untrusted
+type verdict = Improved | Regressed | Unchanged
 
 let verdict_name = function
   | Improved -> "improved"
   | Regressed -> "regressed"
   | Unchanged -> "unchanged"
-  | Untrusted -> "untrusted"
 
 type config = {
   rel_threshold : float;
       (* minimum relative change for CI-backed verdicts *)
   point_threshold : float;
       (* minimum relative change for point-only verdicts *)
-  r2_gate : float;  (* rows with r_square below this are untrusted *)
   resamples : int;
   confidence : float;  (* two-sided, e.g. 0.95 *)
   seed : int;
@@ -63,7 +55,6 @@ let default =
   {
     rel_threshold = 0.10;
     point_threshold = 0.25;
-    r2_gate = 0.90;
     resamples = 1000;
     confidence = 0.95;
     seed = 0x9e3779b9;
@@ -91,16 +82,6 @@ let samples_field j =
       let fs = List.filter_map (function Json.Num n -> Some n | _ -> None) l in
       if fs = [] then None else Some (Array.of_list fs)
   | None -> None
-
-(* Untrusted when the row says so, or when its r-square missed the gate.
-   Rows carrying neither field are taken at face value. *)
-let row_untrusted cfg j =
-  match Json.member "trusted" j with
-  | Some (Json.Bool b) -> not b
-  | _ -> (
-      match num_field "r_square" j with
-      | Some r2 -> not (Float.is_finite r2 && r2 >= cfg.r2_gate)
-      | None -> false)
 
 let pick_metric base cur =
   List.find_opt
@@ -185,34 +166,26 @@ let compare_row cfg name base_j cur_j =
       let base = Option.get (num_field metric base_j) in
       let cur = Option.get (num_field metric cur_j) in
       let point = slowdown_of dir ~base ~cur in
-      if row_untrusted cfg base_j || row_untrusted cfg cur_j then
-        Some
-          {
-            name; metric; base; cur; slowdown = point; ci = None;
-            verdict = Untrusted;
-          }
-      else begin
-        let ci =
-          match (samples_field base_j, samples_field cur_j) with
-          | Some bs, Some cs
-            when Array.length bs > 1 && Array.length cs > 1
-                 && in_unit base bs && in_unit cur cs ->
-              Some (bootstrap_ci cfg ~name dir bs cs)
-          | _ -> None
-        in
-        let verdict =
-          match ci with
-          | Some (lo, hi) ->
-              if lo > 0. && point >= cfg.rel_threshold then Regressed
-              else if hi < 0. && point <= -.cfg.rel_threshold then Improved
-              else Unchanged
-          | None ->
-              if point >= cfg.point_threshold then Regressed
-              else if point <= -.cfg.point_threshold then Improved
-              else Unchanged
-        in
-        Some { name; metric; base; cur; slowdown = point; ci; verdict }
-      end
+      let ci =
+        match (samples_field base_j, samples_field cur_j) with
+        | Some bs, Some cs
+          when Array.length bs > 1 && Array.length cs > 1
+               && in_unit base bs && in_unit cur cs ->
+            Some (bootstrap_ci cfg ~name dir bs cs)
+        | _ -> None
+      in
+      let verdict =
+        match ci with
+        | Some (lo, hi) ->
+            if lo > 0. && point >= cfg.rel_threshold then Regressed
+            else if hi < 0. && point <= -.cfg.rel_threshold then Improved
+            else Unchanged
+        | None ->
+            if point >= cfg.point_threshold then Regressed
+            else if point <= -.cfg.point_threshold then Improved
+            else Unchanged
+      in
+      Some { name; metric; base; cur; slowdown = point; ci; verdict }
 
 let name_of j =
   match Json.member "name" j with Some (Json.Str s) -> Some s | _ -> None
@@ -234,12 +207,7 @@ let rows ?(config = default) ~base ~cur () =
           | Some base_j -> compare_row config n base_j cur_j))
     cur
 
-type summary = {
-  improved : int;
-  regressed : int;
-  unchanged : int;
-  untrusted : int;
-}
+type summary = { improved : int; regressed : int; unchanged : int }
 
 let summarize rs =
   List.fold_left
@@ -247,9 +215,8 @@ let summarize rs =
       match r.verdict with
       | Improved -> { s with improved = s.improved + 1 }
       | Regressed -> { s with regressed = s.regressed + 1 }
-      | Unchanged -> { s with unchanged = s.unchanged + 1 }
-      | Untrusted -> { s with untrusted = s.untrusted + 1 })
-    { improved = 0; regressed = 0; unchanged = 0; untrusted = 0 }
+      | Unchanged -> { s with unchanged = s.unchanged + 1 })
+    { improved = 0; regressed = 0; unchanged = 0 }
     rs
 
 let any_regressed rs = List.exists (fun r -> r.verdict = Regressed) rs

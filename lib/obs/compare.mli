@@ -1,9 +1,7 @@
 (** Statistical regression detection between two sets of benchmark rows
     (the JSON objects bench and the {!Ledger} record).
 
-    Conservative by construction: rows whose own measurement did not
-    converge (low/negative r-square or [trusted=false]) are {e
-    untrusted} and never compared; rows carrying ["samples"] arrays in
+    Conservative by construction: rows carrying ["samples"] arrays in
     their metric's unit on both sides (the metric lies within the range
     the samples span) get a deterministic percentile-bootstrap
     confidence interval and only regress when the whole interval clears
@@ -18,7 +16,7 @@ type direction = Lower_better | Higher_better
     ["mb_per_s"], ["cases_per_s"], ["visits_per_s"], ["seconds"]. *)
 val metrics : (string * direction) list
 
-type verdict = Improved | Regressed | Unchanged | Untrusted
+type verdict = Improved | Regressed | Unchanged
 
 val verdict_name : verdict -> string
 
@@ -27,8 +25,6 @@ type config = {
       (** minimum relative change for CI-backed verdicts (default 0.10) *)
   point_threshold : float;
       (** minimum relative change for point-only verdicts (default 0.25) *)
-  r2_gate : float;
-      (** rows with [r_square] below this are untrusted (default 0.90) *)
   resamples : int;  (** bootstrap resamples (default 1000) *)
   confidence : float;  (** two-sided CI level (default 0.95) *)
   seed : int;  (** RNG seed; per-row streams also mix the row name *)
@@ -52,12 +48,7 @@ type row = {
 val rows :
   ?config:config -> base:Json.t list -> cur:Json.t list -> unit -> row list
 
-type summary = {
-  improved : int;
-  regressed : int;
-  unchanged : int;
-  untrusted : int;
-}
+type summary = { improved : int; regressed : int; unchanged : int }
 
 val summarize : row list -> summary
 val any_regressed : row list -> bool

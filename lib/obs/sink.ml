@@ -14,16 +14,15 @@ type t = { emit : Event.t -> unit }
 let make emit = { emit }
 let emit t e = t.emit e
 
-(* Time [f] and emit a span around it.  Wall-clock spans use the processor
-   clock ([Sys.time]) so the library stays stdlib-only; spans are excluded
-   from the determinism contract (see Event). *)
+(* Time [f] on the monotonic [Clock] and emit a span around it; spans are
+   excluded from the determinism contract (see Event). *)
 let timed ?obs ~stage ~label f =
   match obs with
   | None -> f ()
   | Some s ->
-      let t0 = Sys.time () in
+      let t0 = Clock.now () in
       let r = f () in
-      let t1 = Sys.time () in
+      let t1 = Clock.now () in
       emit s
         (Event.Span
            { stage; label; start_us = t0 *. 1e6; dur_us = (t1 -. t0) *. 1e6 });

@@ -16,7 +16,7 @@ val make : (Event.t -> unit) -> t
 val emit : t -> Event.t -> unit
 
 (** [timed ?obs ~stage ~label f] — run [f] and, when a sink is installed,
-    emit a wall-clock {!Event.Span} around it ([Sys.time]-based). *)
+    emit a wall-clock {!Event.Span} around it, timed on {!Clock}. *)
 val timed :
   ?obs:t -> stage:Event.stage -> label:string -> (unit -> 'a) -> 'a
 

@@ -1,10 +1,10 @@
 (** Chunked binary block-trace format with bounded-memory streaming.
 
-    The text format of [Emulator.Trace.save] materializes the whole visit
-    sequence; production-volume traces (millions of block visits) need a
-    format that can be written as the visits happen and replayed without
-    ever holding more than one chunk in memory.  This module provides
-    exactly that: a sequential {!writer} and a chunk-at-a-time reader whose
+    The one on-disk trace format ([cccs trace] writes it).
+    Production-volume traces (millions of block visits) need a format
+    that can be written as the visits happen and replayed without ever
+    holding more than one chunk in memory.  This module provides exactly
+    that: a sequential {!writer} and a chunk-at-a-time reader whose
     every failure mode — truncated header, truncated chunk, corrupted
     length field, corrupted payload — surfaces as a typed {!error}, never
     an exception and never a silently short read.

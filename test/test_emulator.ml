@@ -262,6 +262,33 @@ let test_trace () =
   check "ops accumulate" 15 (Emulator.Trace.total_ops t);
   check "mops accumulate" 5 (Emulator.Trace.total_mops t)
 
+(* An executed trace written as [cccs trace] writes it (through
+   Workloads.Trace_stream) reads back visit for visit, with its op and MOP
+   totals in the header. *)
+let test_trace_to_stream () =
+  let module Ts = Workloads.Trace_stream in
+  let w = Workloads.Kernels.fir ~taps:4 ~samples:2 in
+  let c = Cccs.Pipeline.compile w in
+  let t = (Emulator.Exec.run c.Cccs.Pipeline.program).Emulator.Exec.trace in
+  let path = Filename.temp_file "cccs" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let wr = Ts.create ~chunk_visits:7 path in
+      Emulator.Trace.iter (Ts.add wr) t;
+      Ts.record_ops wr ~ops:(Emulator.Trace.total_ops t)
+        ~mops:(Emulator.Trace.total_mops t);
+      Ts.close wr;
+      let back = ref [] in
+      match Ts.iter path ~f:(fun b -> back := b :: !back) with
+      | Error e -> Alcotest.fail (Ts.error_to_string e)
+      | Ok h ->
+          Alcotest.(check (array int)) "sequence" (Emulator.Trace.to_array t)
+            (Array.of_list (List.rev !back));
+          check "visits" (Emulator.Trace.length t) h.Ts.visits;
+          check "ops" (Emulator.Trace.total_ops t) h.Ts.ops;
+          check "mops" (Emulator.Trace.total_mops t) h.Ts.mops)
+
 (* --- Kernels: known numeric results --- *)
 
 let test_fir_computes_fir () =
@@ -290,31 +317,6 @@ let test_ref_interp_matches_machine_on_kernels () =
         (Emulator.Trace.to_array res.Emulator.Exec.trace
         = Emulator.Trace.to_array ref_res.Emulator.Ref_interp.trace))
     Workloads.Kernels.all
-
-let test_trace_io () =
-  let t = Emulator.Trace.create () in
-  List.iter (Emulator.Trace.add t) [ 0; 3; 1; 4; 1; 5 ];
-  Emulator.Trace.record_ops t ~ops:42 ~mops:17;
-  let path = Filename.temp_file "cccs" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Emulator.Trace.save t path;
-      let t' = Emulator.Trace.load path in
-      Alcotest.(check (array int)) "sequence" (Emulator.Trace.to_array t)
-        (Emulator.Trace.to_array t');
-      check "ops" 42 (Emulator.Trace.total_ops t');
-      check "mops" 17 (Emulator.Trace.total_mops t'));
-  let bad = Filename.temp_file "cccs" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove bad)
-    (fun () ->
-      let oc = open_out bad in
-      output_string oc "not a trace\n";
-      close_out oc;
-      match Emulator.Trace.load bad with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "accepted a bad trace file")
 
 (* --- Pre-decoded execution against the reference loop --- *)
 
@@ -545,7 +547,7 @@ let suite =
     Alcotest.test_case "whole-program execution" `Quick test_exec_tiny;
     Alcotest.test_case "execution budget" `Quick test_exec_budget;
     Alcotest.test_case "trace accounting" `Quick test_trace;
-    Alcotest.test_case "trace save/load" `Quick test_trace_io;
+    Alcotest.test_case "trace to stream and back" `Quick test_trace_to_stream;
     Alcotest.test_case "fir kernel terminates" `Quick test_fir_computes_fir;
     Alcotest.test_case "kernels: machine vs reference" `Quick
       test_ref_interp_matches_machine_on_kernels;

@@ -160,36 +160,26 @@ let test_verdicts () =
   Alcotest.check verdict "identical is unchanged" Compare.Unchanged
     (one_verdict (Compare.rows ~base ~cur:base ()))
 
-let test_noise_gate () =
-  let noisy v r2 =
+(* Rows of older "bench" ledger entries carry an r-square fit and no
+   samples: they take the 25% point verdict like any bare estimate. *)
+let test_old_bench_rows () =
+  let old v =
     [
       Json.Obj
         [
           ("name", Json.Str "x");
           ("ns_per_run", Json.Num v);
-          ("r_square", Json.Num r2);
-        ];
-    ]
-  in
-  (* A huge delta on an unconverged measurement must NOT regress. *)
-  Alcotest.check verdict "negative r2 is untrusted" Compare.Untrusted
-    (one_verdict (Compare.rows ~base:(noisy 100. (-13.4)) ~cur:(noisy 300. 0.99) ()));
-  Alcotest.check verdict "low r2 on cur side too" Compare.Untrusted
-    (one_verdict (Compare.rows ~base:(noisy 100. 0.99) ~cur:(noisy 300. 0.2) ()));
-  (* trusted=false wins over a good r_square *)
-  let flagged =
-    [
-      Json.Obj
-        [
-          ("name", Json.Str "x");
-          ("ns_per_run", Json.Num 100.);
-          ("r_square", Json.Num 0.999);
+          ("r_square", Json.Num (-13.4));
           ("trusted", Json.Bool false);
         ];
     ]
   in
-  Alcotest.check verdict "explicit trusted=false" Compare.Untrusted
-    (one_verdict (Compare.rows ~base:flagged ~cur:(noisy 300. 0.99) ()))
+  Alcotest.check verdict "old bench row 3x slower is regressed"
+    Compare.Regressed
+    (one_verdict (Compare.rows ~base:(old 100.) ~cur:(old 300.) ()));
+  Alcotest.check verdict "old bench row 20% slower is unchanged"
+    Compare.Unchanged
+    (one_verdict (Compare.rows ~base:(old 100.) ~cur:(old 120.) ()))
 
 (* The flake-resistance pin: identical sample data must compare Unchanged
    for every bootstrap seed — the degenerate CI [0,0] cannot clear zero. *)
@@ -414,7 +404,7 @@ let suite =
       test_corrupted_lines;
     Alcotest.test_case "git rev total" `Quick test_git_rev;
     Alcotest.test_case "compare verdicts" `Quick test_verdicts;
-    Alcotest.test_case "compare noise gate" `Quick test_noise_gate;
+    Alcotest.test_case "compare old bench rows" `Quick test_old_bench_rows;
     Alcotest.test_case "no false regression, 1000 seeds" `Quick
       test_no_false_regression;
     Alcotest.test_case "perfdiff exit contract" `Quick test_exit_contract;
