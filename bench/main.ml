@@ -643,8 +643,9 @@ let () =
   if mode <> Some "perf" then bspan "fuzz" run_fuzz_bench;
   match (flame, rc) with
   | Some path, Some rc ->
-      let nodes = Cccs_obs.Flame.of_recorder rc in
-      Cccs_obs.Flame.write ~path nodes;
+      let events = Cccs_obs.Recorder.events rc in
+      let nodes = Cccs_obs.Flame.of_events events in
+      Cccs_obs.Flame.write ~path events;
       Printf.printf "wrote flamegraph (%.1f ms instrumented) to %s\n"
         (Cccs_obs.Flame.total_us nodes /. 1e3)
         path

@@ -96,7 +96,8 @@ let flame_arg =
   let doc =
     "Write a collapsed-stack flamegraph of the pipeline stage spans to \
      $(docv) (self time per frame, integer microseconds; a $(b,.json) \
-     suffix writes Chrome trace-event / Perfetto JSON instead)."
+     suffix writes the spans as Chrome trace-event / Perfetto JSON \
+     instead, as $(b,--perfetto) does)."
   in
   Arg.(value & opt (some string) None & info [ "flame" ] ~docv:"FILE" ~doc)
 
@@ -130,6 +131,19 @@ let read_file ~what path =
   with_file ~what path (fun path ->
       In_channel.with_open_bin path In_channel.input_all)
 
+(* [create_output ~what path] — open (and so create) an output file a
+   command names, or with [~dir] make its output directory, before the
+   command's work starts: a path that cannot be written exits 2 with
+   [what: path: reason] at once instead of after the run. *)
+let create_output ?(dir = false) ~what = function
+  | None -> ()
+  | Some path ->
+      with_file ~what path (fun path ->
+          if not dir then close_out (open_out_bin path)
+          else if not (Sys.file_exists path) then Sys.mkdir path 0o755
+          else if not (Sys.is_directory path) then
+            raise (Sys_error (path ^ ": Not a directory")))
+
 (* Run [f] with a span recorder's sink when [cmd]'s --flame names a file,
    then write the recorded spans there. *)
 let with_flame ~cmd path f =
@@ -138,9 +152,10 @@ let with_flame ~cmd path f =
   | Some path ->
       let rc = Cccs_obs.Recorder.create () in
       let res = f (Some (Cccs_obs.Recorder.sink rc)) in
-      let nodes = Cccs_obs.Flame.of_recorder rc in
+      let events = Cccs_obs.Recorder.events rc in
+      let nodes = Cccs_obs.Flame.of_events events in
       with_file ~what:(cmd ^ ": --flame") path (fun path ->
-          Cccs_obs.Flame.write ~path nodes);
+          Cccs_obs.Flame.write ~path events);
       Logs.app (fun m ->
           m "wrote flamegraph (%d root span(s), %.1f ms instrumented) to %s"
             (List.length nodes)
@@ -247,6 +262,7 @@ let list_cmd =
 
 let compile_cmd =
   let run () e flame =
+    create_output ~what:"compile: --flame" flame;
     with_flame ~cmd:"compile" flame (fun obs ->
         let r = Cccs.Workload_run.load ?obs e in
         let c = r.Cccs.Workload_run.compiled in
@@ -323,6 +339,8 @@ let decode_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let run () (e : Workloads.Suite.entry) scheme protect out json flame =
+    create_output ~what:"decode: --out" out;
+    create_output ~what:"decode: --flame" flame;
     let r = Cccs.Workload_run.load e in
     let sc =
       Encoding.Scheme.protect protect
@@ -394,6 +412,8 @@ let simulate_cmd =
        per-event fetch stream, which has its own --perfetto recorders, one
        per model, so the export shows the four models as separate named
        processes. *)
+    create_output ~what:"simulate: --perfetto" perfetto;
+    create_output ~what:"simulate: --flame" flame;
     with_flame ~cmd:"simulate" flame (fun fobs ->
         let r = Cccs.Workload_run.load ?obs:fobs e in
         let runs =
@@ -467,6 +487,8 @@ let trace_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"PATH" ~doc)
   in
   let run () e path perfetto =
+    create_output ~what:"trace" (Some path);
+    create_output ~what:"trace: --perfetto" perfetto;
     let r =
       match perfetto with
       | None -> Cccs.Workload_run.load e
@@ -680,7 +702,7 @@ let verify_cmd =
     (row, List.map (fun d -> "  " ^ Diag.to_string d) errors @ [ line ])
   in
   let run () entries json =
-    let jobs = Cccs.Parallel.default_jobs () in
+    let jobs = Cccs.Parallel.effective_jobs (List.length entries) in
     let out = report_to json in
     (* Workloads check in parallel; their reports print in suite order. *)
     let rows =
@@ -1077,12 +1099,11 @@ let faults_cmd =
   let run () (e : Workloads.Suite.entry) flips seed retries protections jobs
       json =
     let bench = e.name in
-    let jobs = Option.value jobs ~default:(Cccs.Parallel.default_jobs ()) in
     let campaigns =
       List.map
         (fun protection ->
           let t =
-            Cccs.Faults.run ~jobs
+            Cccs.Faults.run ?jobs
               { Cccs.Faults.bench; seed; flips; retries; protection }
           in
           Cccs.Report.faults (report_to json) t;
@@ -1125,12 +1146,13 @@ let faults_cmd =
             ])
         rows
     in
-    (* Every campaign covers the same schemes. *)
+    (* Every campaign covers the same schemes, one pool item each. *)
     let schemes =
       List.map
         (fun (r : Cccs.Faults.scheme_report) -> r.Cccs.Faults.scheme)
         (List.hd campaigns).Cccs.Faults.rows
     in
+    let jobs = Cccs.Parallel.effective_jobs ?jobs (List.length schemes) in
     ledger_append ~kind:"faults" ~jobs ~schemes
       ~meta:
         Json.[ ("bench", Str bench); ("seed", int seed); ("flips", int flips) ]
@@ -1208,8 +1230,9 @@ let fuzz_cmd =
   in
   let fixtures_arg =
     let doc =
-      "Write a minimized repro fixture (JSON + OCaml snippet) per finding \
-       into $(docv)."
+      "Write a minimized JSON repro fixture per finding into $(docv) \
+       (created if missing), in the format test/fixtures/fuzz_*.json \
+       replays."
     in
     Arg.(
       value
@@ -1218,6 +1241,7 @@ let fuzz_cmd =
   in
   let run () seed runs time_budget jobs json fixtures_dir =
     let spec = { Cccs_fuzz.Fuzz.seed; runs; jobs; time_budget; fixtures_dir } in
+    create_output ~dir:true ~what:"fuzz: --fixtures-dir" fixtures_dir;
     (* The campaign writes its fixtures last, into --fixtures-dir. *)
     let r =
       match fixtures_dir with
@@ -1248,7 +1272,7 @@ let fuzz_cmd =
           (Json.to_string (Cccs_fuzz.Fuzz.case_to_json f.Cccs_fuzz.Fuzz.case)))
       findings;
     ledger_append ~kind:"fuzz"
-      ~jobs:(Option.value jobs ~default:(Cccs.Parallel.default_jobs ()))
+      ~jobs:(Cccs.Parallel.effective_jobs ?jobs runs)
       ~meta:Json.[ ("seed", int seed); ("runs", int runs) ]
       Json.
         [

@@ -88,9 +88,12 @@ type t = {
           without building any [Op.t].  On a protected scheme the payload
           starts just past the block's length field.  May raise on
           malformed input, leaving a partial block in [w];
-          {!transcode_block_checked_at} is the total wrapper.  Its tables
-          are built eagerly when the scheme is built, so a decode pays only
-          for decoding, and it keeps no mutable buffer across calls. *)
+          {!transcode_block_checked_at} is the total wrapper.  Its
+          per-format plans are built with the scheme, but a Huffman book's
+          decode table ([Huffman.Canonical]'s two-level LUT) is built on
+          the book's first [Huffman.Codebook.read] and kept in the book:
+          the first decode pays for it, and a scheme must not be shared
+          across domains.  It keeps no mutable buffer across calls. *)
 }
 
 (** [ratio t ~baseline_bits] — code-segment compression ratio (1.0 = no

@@ -69,10 +69,11 @@ let num_sets t =
   let lines = num_lines t in
   Int.max 1 (lines / t.ways)
 
-(* The one line-mapping rule every consumer shares: [Line_cache]'s
-   hit/touch geometry, the ATT's per-block line counts and the static
-   timing analysis all call this, so they can never disagree on which
-   lines a block spans. *)
+(* The one line-mapping rule: the fetch models' line geometry and the
+   static timing analysis call this.  The ATT's per-block line counts
+   ([Att.build]) repeat its formula, because lib/encoding cannot depend on
+   lib/fetch; the test "line_span agrees with the ATT" keeps the two
+   equal on every block of a real image. *)
 let line_span t ~offset_bits ~size_bits =
   if t.line_bits <= 0 then invalid_arg "Config.line_span";
   let first = offset_bits / t.line_bits in

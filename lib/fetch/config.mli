@@ -60,6 +60,8 @@ val num_sets : t -> int
 
 (** [line_span t ~offset_bits ~size_bits] — inclusive memory-line range
     the extent [offset_bits, offset_bits + size_bits) occupies.  The
-    single geometry rule shared by {!Line_cache}, the ATT builder and the
-    static timing analysis (read-only; touches no state). *)
+    single geometry rule of the fetch models and the static timing
+    analysis (read-only; touches no state).  [Encoding.Att.build] repeats
+    the formula, since lib/encoding cannot depend on lib/fetch; a test
+    keeps the two equal. *)
 val line_span : t -> offset_bits:int -> size_bits:int -> int * int

@@ -786,9 +786,6 @@ let finding_to_json f =
       ("minimized", Json.Bool f.minimized);
     ]
 
-let effective_jobs spec =
-  match spec.jobs with Some j -> j | None -> Cccs.Parallel.default_jobs ()
-
 let tallies_to_json t =
   Json.Obj
     [
@@ -807,7 +804,8 @@ let report_to_json r =
       ("ok", Json.Bool (r.findings = []));
       ("seed", Json.int r.spec.seed);
       ("runs", Json.int r.spec.runs);
-      ("jobs", Json.int (effective_jobs r.spec));
+      ( "jobs",
+        Json.int (Cccs.Parallel.effective_jobs ?jobs:r.spec.jobs r.spec.runs) );
       ("time_budget", Json.Num r.spec.time_budget);
       ("tallies", tallies_to_json r.tallies);
       ("findings", Json.Arr (List.map finding_to_json r.findings));
@@ -831,61 +829,13 @@ let hash_string s =
     s;
   !h
 
-let ml_snippet f =
-  let fault =
-    match f.case.fault with
-    | No_fault -> "Cccs_fuzz.Fuzz.No_fault"
-    | Bit_flips l ->
-        Printf.sprintf "Cccs_fuzz.Fuzz.Bit_flips [ %s ]"
-          (String.concat "; " (List.map string_of_int l))
-    | Byte_sub { byte; value } ->
-        Printf.sprintf "Cccs_fuzz.Fuzz.Byte_sub { byte = %d; value = %d }" byte
-          value
-    | Truncate { bytes } ->
-        Printf.sprintf "Cccs_fuzz.Fuzz.Truncate { bytes = %d }" bytes
-  in
-  Printf.sprintf
-    "(* Self-contained repro for fuzz finding %S (case %d, campaign seed \
-     %d).\n\
-    \   Not part of the build: paste into any context linking cccs_fuzz. *)\n\
-     let () =\n\
-    \  let case =\n\
-    \    {\n\
-    \      Cccs_fuzz.Fuzz.id = %d;\n\
-    \      master = %d;\n\
-    \      pool = %d;\n\
-    \      scheme = %S;\n\
-    \      protection = Encoding.Scheme.%s;\n\
-    \      blocks = [ %s ];\n\
-    \      fault = %s;\n\
-    \    }\n\
-    \  in\n\
-    \  match Cccs_fuzz.Fuzz.run_case case with\n\
-    \  | None -> print_endline \"clean\"\n\
-    \  | Some k -> print_endline (Cccs_fuzz.Fuzz.kind_label k)\n"
-    (kind_label f.kind) f.case.id f.case.master f.case.id f.case.master
-    f.case.pool f.case.scheme
-    (match f.case.protection with
-    | Scheme.Unprotected -> "Unprotected"
-    | Scheme.Crc8 -> "Crc8"
-    | Scheme.Crc16 -> "Crc16")
-    (String.concat "; " (List.map string_of_int f.case.blocks))
-    fault
-
 let write_fixture ~dir f =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let case_s = Json.to_string (case_to_json f.case) in
   let base = Printf.sprintf "fuzz_case_%d_%08x" f.case.id (hash_string case_s) in
-  let json_path = Filename.concat dir (base ^ ".json") in
-  let out path s =
-    let oc = open_out path in
-    output_string oc s;
-    output_char oc '\n';
-    close_out oc
-  in
-  out json_path (Json.to_string (fixture_to_json f));
-  out (Filename.concat dir (base ^ ".ml")) (ml_snippet f);
-  json_path
+  let path = Filename.concat dir (base ^ ".json") in
+  Cccs_obs.Export.write_file path (Json.to_string (fixture_to_json f) ^ "\n");
+  path
 
 (* ------------------------------------------------------------------ *)
 (* The campaign.                                                       *)

@@ -31,7 +31,8 @@
     runs inside its own exception barrier — a crash becomes a
     [Case_crash] finding, never a campaign abort.  Findings are
     delta-minimized (shrink the block list, then the fault) and can be
-    emitted as self-contained repro fixtures (JSON + OCaml snippet). *)
+    emitted as JSON repro fixtures, which [dune runtest] replays from
+    [test/fixtures/]. *)
 
 (** A fault injected into the compressed ROM image. *)
 type fault =
@@ -94,7 +95,8 @@ type tallies = {
 type spec = {
   seed : int;
   runs : int;
-  jobs : int option;  (** [None]: {!Cccs.Parallel.default_jobs} *)
+  jobs : int option;
+      (** the requested pool; [None]: {!Cccs.Parallel.default_jobs} *)
   time_budget : float;
       (** wall-clock seconds; 0 = unlimited.  A positive budget truncates
           the campaign (cases past the cutoff are skipped) — determinism
@@ -134,9 +136,10 @@ val case_to_json : case -> Cccs_obs.Json.t
 val case_of_json : Cccs_obs.Json.t -> (case, string) result
 val finding_to_json : finding -> Cccs_obs.Json.t
 
-(** [report_to_json r] — schema [cccs-fuzz/1].  Echoes the effective
-    [seed], [runs] and [jobs]; [ok] is [findings = []].  [seconds] is the
-    only nondeterministic field. *)
+(** [report_to_json r] — schema [cccs-fuzz/1].  Echoes [seed] and [runs];
+    [jobs] is the pool that ran the cases,
+    [Cccs.Parallel.effective_jobs ?jobs runs]; [ok] is [findings = []].
+    [seconds] is the only nondeterministic field. *)
 val report_to_json : report -> Cccs_obs.Json.t
 
 (** [fixture_to_json f] — schema [cccs-fuzz-fixture/1]: the minimized case
@@ -144,8 +147,8 @@ val report_to_json : report -> Cccs_obs.Json.t
     for a regression fixture of a fixed bug). *)
 val fixture_to_json : finding -> Cccs_obs.Json.t
 
-(** [write_fixture ~dir f] — write the JSON fixture plus a human-readable
-    self-contained OCaml replay snippet; returns the JSON path.  Both
-    filenames derive from the case id and a content hash, so re-running a
-    campaign overwrites rather than accumulates. *)
+(** [write_fixture ~dir f] — write the JSON fixture ({!fixture_to_json})
+    into [dir], creating it if missing; returns its path.  The filename
+    derives from the case id and a content hash, so re-running a campaign
+    overwrites rather than accumulates. *)
 val write_fixture : dir:string -> finding -> string

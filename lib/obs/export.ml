@@ -1,12 +1,12 @@
 (* Exporters for the two machine-readable formats the tooling consumes:
 
-   - [json_of_snapshot] / [jsonl_of_snapshot]: metrics snapshots as one JSON
-     object, or as JSON Lines (one self-describing object per metric) for
-     append-only trajectory files;
+   - [json_of_snapshot]: a metrics snapshot as one JSON object
+     (`cccs stats --json`);
    - [chrome_trace]: event streams as Chrome trace-event JSON, loadable in
      ui.perfetto.dev or chrome://tracing (one named track per stream, spans
      as complete "X" events, fetch events as instant "i" events on a cycle
-     timeline where 1 modeled cycle = 1 us). *)
+     timeline where 1 modeled cycle = 1 us).  It writes every --perfetto
+     file and every --flame FILE.json. *)
 
 let hist_json h =
   let s = Histogram.summarize h in
@@ -47,30 +47,6 @@ let json_of_snapshot ?(extra = []) snap =
         ("gauges", Json.Obj (List.rev gauges));
         ("histograms", Json.Obj (List.rev hists));
       ])
-
-(* JSON Lines: one self-describing object per metric, each carrying the
-   [tags] key/value pairs (bench name, scheme, git rev, ...). *)
-let jsonl_of_snapshot ?(tags = []) snap =
-  let b = Buffer.create 1024 in
-  let tags = List.map (fun (k, v) -> (k, Json.Str v)) tags in
-  List.iter
-    (fun (name, it) ->
-      let fields =
-        match it with
-        | Metrics.Snap_counter v ->
-            [ ("metric", Json.Str name); ("type", Json.Str "counter");
-              ("value", Json.int v) ]
-        | Metrics.Snap_gauge v ->
-            [ ("metric", Json.Str name); ("type", Json.Str "gauge");
-              ("value", Json.Num v) ]
-        | Metrics.Snap_hist h ->
-            [ ("metric", Json.Str name); ("type", Json.Str "histogram");
-              ("summary", hist_json h) ]
-      in
-      Buffer.add_string b (Json.to_string (Json.Obj (tags @ fields)));
-      Buffer.add_char b '\n')
-    snap;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event / Perfetto JSON. *)

@@ -1,5 +1,5 @@
-(** Exporters: metrics snapshots as a JSON object or JSON Lines, event
-    streams as Chrome trace-event / Perfetto JSON. *)
+(** Exporters: metrics snapshots as a JSON object, event streams as
+    Chrome trace-event / Perfetto JSON. *)
 
 (** Histogram summary + buckets as a JSON object. *)
 val hist_json : Histogram.t -> Json.t
@@ -10,13 +10,6 @@ val json_of_snapshot :
   ?extra:(string * Json.t) list ->
   (string * Metrics.snapshot_item) list ->
   Json.t
-
-(** JSON Lines: one self-describing object per metric, each carrying the
-    [tags] pairs (bench name, scheme, ...). *)
-val jsonl_of_snapshot :
-  ?tags:(string * string) list ->
-  (string * Metrics.snapshot_item) list ->
-  string
 
 (** [chrome_trace tracks] — each [(name, events)] track becomes one named
     process: spans on tid 1, block deliveries as duration slices on tid 2,

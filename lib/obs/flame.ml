@@ -8,7 +8,8 @@
    rebuilds that nesting, charges each frame its *exclusive* (self) time
    — duration minus the duration of its direct children — and exports the
    result as collapsed-stack lines (flamegraph.pl / speedscope / inferno
-   compatible) or as Chrome trace-event JSON.
+   compatible).  A --flame FILE.json is the spans themselves as a Chrome
+   trace (Export.chrome_trace); Perfetto nests them by interval.
 
    Invariant the tests pin down: the self times of a tree sum to the
    duration of its root (children only ever redistribute time downwards),
@@ -104,8 +105,6 @@ let of_events events =
   in
   List.rev_map freeze !roots
 
-let of_recorder rc = of_events (Recorder.events rc)
-
 let total_us nodes = List.fold_left (fun a n -> a +. n.dur_us) 0. nodes
 
 (* Per-frame exclusive totals, largest first. *)
@@ -137,43 +136,10 @@ let collapsed nodes =
   List.iter (visit "") nodes;
   Buffer.contents b
 
-(* Chrome trace-event JSON of the reconstructed tree: complete events on
-   one track (Perfetto re-nests them by interval), each carrying its
-   exclusive time in args. *)
-let chrome_json nodes =
-  let evs = ref [] in
-  let rec visit n =
-    evs :=
-      Json.Obj
-        [
-          ("name", Json.Str (frame n));
-          ("cat", Json.Str (Event.stage_name n.stage));
-          ("ph", Json.Str "X");
-          ("ts", Json.Num n.start_us);
-          ("dur", Json.Num (Float.max n.dur_us 0.1));
-          ("pid", Json.int 1);
-          ("tid", Json.int 1);
-          ("args", Json.Obj [ ("self_us", Json.Num n.self_us) ]);
-        ]
-      :: !evs;
-    List.iter visit n.children
-  in
-  List.iter visit nodes;
-  Json.Obj
-    [
-      ("traceEvents", Json.Arr (List.rev !evs));
-      ("displayTimeUnit", Json.Str "ns");
-    ]
-
-(* Write collapsed stacks, or the Chrome trace when [path] ends in
-   ".json". *)
-let write ~path nodes =
-  let is_json =
-    String.length path >= 5
-    && String.sub path (String.length path - 5) 5 = ".json"
-  in
-  let contents =
-    if is_json then Json.to_string (chrome_json nodes) ^ "\n"
-    else collapsed nodes
-  in
-  Export.write_file path contents
+(* Write the collapsed stacks of [events]' spans to [path], or, when
+   [path] ends in ".json", the events as a Chrome trace. *)
+let write ~path events =
+  Export.write_file path
+    (if Filename.check_suffix path ".json" then
+       Json.to_string (Export.chrome_trace [ ("spans", events) ]) ^ "\n"
+     else collapsed (of_events events))

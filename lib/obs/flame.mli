@@ -3,8 +3,7 @@
     Rebuilds parent/child nesting from span interval containment (a
     region's span is emitted after its children's, with clock readings
     strictly inside the parent), charges each frame its exclusive time,
-    and exports collapsed-stack flamegraph lines or Chrome trace-event
-    JSON.
+    and exports collapsed-stack flamegraph lines.
 
     Invariant: the self times of a tree sum to the duration of its root,
     so summing every exported value reproduces total instrumented wall
@@ -19,14 +18,13 @@ type node = {
   children : node list;  (** chronological *)
 }
 
-(** ["<stage>:<label>"] — the frame name used in every export. *)
+(** ["<stage>:<label>"] — the frame name of {!self_times} and
+    {!collapsed}. *)
 val frame : node -> string
 
 (** Root spans (chronological) reconstructed from a recorded stream;
     non-span events are ignored. *)
 val of_events : Event.t array -> node list
-
-val of_recorder : Recorder.t -> node list
 
 (** Sum of root durations. *)
 val total_us : node list -> float
@@ -39,10 +37,8 @@ val self_times : node list -> (string * float) list
     speedscope or inferno. *)
 val collapsed : node list -> string
 
-(** The reconstructed tree as Chrome trace-event JSON (complete events
-    with [self_us] in args; Perfetto re-nests by interval). *)
-val chrome_json : node list -> Json.t
-
-(** Write {!collapsed} to [path], or {!chrome_json} when [path] ends in
-    [".json"]. *)
-val write : path:string -> node list -> unit
+(** [write ~path events] — {!collapsed} of [events]' spans to [path], or,
+    when [path] ends in [".json"], the events as one
+    {!Export.chrome_trace} track (each span named by its label, with its
+    stage as [cat]). *)
+val write : path:string -> Event.t array -> unit

@@ -46,27 +46,6 @@ let observe t v =
   let b = bucket_of v in
   t.buckets.(b) <- t.buckets.(b) + 1
 
-(* Pool two histograms into a fresh one.  Exact for every exported field:
-   counts, sums and per-bucket tallies add; the min/max sentinels of an
-   empty side (max_int / min_int) are absorbed by min/max.  Used to
-   combine per-domain histograms gathered from Parallel workers. *)
-let merge a b =
-  let t = create () in
-  t.count <- a.count + b.count;
-  t.sum <- a.sum + b.sum;
-  t.vmin <- min a.vmin b.vmin;
-  t.vmax <- max a.vmax b.vmax;
-  for i = 0 to nbuckets - 1 do
-    t.buckets.(i) <- a.buckets.(i) + b.buckets.(i)
-  done;
-  t
-
-(* Exact per-bucket tallies, index = bucket number (see [bucket_lo]/
-   [bucket_hi] for bounds).  Unlike [nonzero_buckets] nothing is clipped
-   or dropped, so two exports can be compared or re-merged field by
-   field. *)
-let bucket_counts t = Array.copy t.buckets
-
 let count t = t.count
 let sum t = t.sum
 let min_value t = if t.count = 0 then 0 else t.vmin

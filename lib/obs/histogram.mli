@@ -11,17 +11,6 @@ type t
 val create : unit -> t
 val observe : t -> int -> unit
 
-(** [merge a b] — a fresh histogram pooling both inputs; counts, sums and
-    per-bucket tallies add exactly.  Neither input is modified.  Intended
-    for combining per-domain histograms gathered from [Parallel] workers;
-    percentiles of the merged histogram stay within the bucket bounds of
-    the pooled samples' true order statistics. *)
-val merge : t -> t -> t
-
-(** Exact per-bucket tallies (index = bucket number, length 63); nothing
-    is clipped or dropped, unlike {!nonzero_buckets}. *)
-val bucket_counts : t -> int array
-
 val count : t -> int
 val sum : t -> int
 val min_value : t -> int

@@ -19,7 +19,6 @@ let record t e =
 
 let sink t = Sink.make (record t)
 let length t = t.len
-let get t i = t.data.(i)
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)

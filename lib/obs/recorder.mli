@@ -10,7 +10,6 @@ val create : unit -> t
 val sink : t -> Sink.t
 
 val length : t -> int
-val get : t -> int -> Event.t
 val iter : (Event.t -> unit) -> t -> unit
 
 (** Recorded events, oldest first. *)

@@ -1,5 +1,3 @@
-(* Printing ------------------------------------------------------------ *)
-
 let buf_reg cls i = Printf.sprintf "%s%d" (Reg.cls_to_string cls) i
 
 let trailer buf key value = Buffer.add_string buf (Printf.sprintf " %s=%s" key value)
@@ -85,239 +83,3 @@ let print_program (p : Program.t) =
         blk.Program.mops)
     p.Program.blocks;
   Buffer.contents b
-
-(* Parsing -------------------------------------------------------------- *)
-
-let fail fmt = Printf.ksprintf failwith fmt
-
-(* A '#' opens a comment when it starts the line or follows whitespace and
-   is not the "#<digits>" immediate form. *)
-let strip_comment line =
-  let n = String.length line in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec find i =
-    if i >= n then None
-    else if
-      line.[i] = '#'
-      && (i = 0 || line.[i - 1] = ' ' || line.[i - 1] = '\t')
-      && (i + 1 >= n || not (is_digit line.[i + 1]))
-    then Some i
-    else find (i + 1)
-  in
-  match find 0 with Some i -> String.sub line 0 i | None -> line
-
-let tokens line =
-  line
-  |> String.map (fun c -> if c = ',' then ' ' else c)
-  |> String.split_on_char ' '
-  |> List.filter (fun s -> s <> "")
-
-let parse_reg expected_cls tok =
-  let cls_of = function
-    | 'r' -> Reg.Gpr
-    | 'f' -> Reg.Fpr
-    | 'p' -> Reg.Pr
-    | c -> fail "Asm: bad register class %c in %S" c tok
-  in
-  if String.length tok < 2 then fail "Asm: bad register %S" tok;
-  let cls = cls_of tok.[0] in
-  (match expected_cls with
-  | Some e when e <> cls && e <> Reg.Gpr ->
-      (* FP memory operands legitimately swap Gpr->Fpr; other mismatches
-         are parse errors.  Gpr slots accepting f-regs are handled by the
-         caller via the returned class. *)
-      ()
-  | _ -> ());
-  let i =
-    try int_of_string (String.sub tok 1 (String.length tok - 1))
-    with _ -> fail "Asm: bad register index in %S" tok
-  in
-  (cls, i)
-
-let parse_mem tok =
-  let n = String.length tok in
-  if n < 4 || tok.[0] <> '[' || tok.[n - 1] <> ']' then
-    fail "Asm: bad memory operand %S" tok;
-  snd (parse_reg (Some Reg.Gpr) (String.sub tok 1 (n - 2)))
-
-let parse_imm tok =
-  if String.length tok < 2 || tok.[0] <> '#' then fail "Asm: bad immediate %S" tok;
-  try int_of_string (String.sub tok 1 (String.length tok - 1))
-  with _ -> fail "Asm: bad immediate %S" tok
-
-let parse_block_ref tok =
-  if String.length tok < 3 || String.sub tok 0 2 <> "bb" then
-    fail "Asm: bad block reference %S" tok;
-  try int_of_string (String.sub tok 2 (String.length tok - 2))
-  with _ -> fail "Asm: bad block reference %S" tok
-
-(* Split "key=val" trailers from positional operands. *)
-let split_trailers toks =
-  List.partition (fun t -> not (String.contains t '=')) toks
-
-let trailer_value trailers key =
-  List.find_map
-    (fun t ->
-      match String.index_opt t '=' with
-      | Some i when String.sub t 0 i = key ->
-          Some (String.sub t (i + 1) (String.length t - i - 1))
-      | _ -> None)
-    trailers
-
-let t_int trailers key ~default =
-  match trailer_value trailers key with
-  | Some v -> ( try int_of_string v with _ -> fail "Asm: bad %s=%s" key v)
-  | None -> default
-
-let t_bool trailers key = t_int trailers key ~default:0 = 1
-
-let t_reg trailers key ~default =
-  match trailer_value trailers key with
-  | Some v -> snd (parse_reg None v)
-  | None -> default
-
-let parse_op line =
-  let line = strip_comment line in
-  let toks = tokens line in
-  (* tail ";;" *)
-  let tail, toks =
-    match List.rev toks with
-    | ";;" :: rest -> (true, List.rev rest)
-    | _ -> (false, toks)
-  in
-  (* guard predicate "(pN)" and speculation "<s>" *)
-  let pred, toks =
-    match toks with
-    | t :: rest
-      when String.length t > 3 && t.[0] = '(' && t.[String.length t - 1] = ')' ->
-        (snd (parse_reg (Some Reg.Pr) (String.sub t 1 (String.length t - 2))), rest)
-    | _ -> (0, toks)
-  in
-  let spec, toks =
-    match toks with "<s>" :: rest -> (true, rest) | _ -> (false, toks)
-  in
-  let mnemonic, operands =
-    match toks with
-    | [] -> fail "Asm: empty op line %S" line
-    | m :: rest -> (m, rest)
-  in
-  let opcode =
-    match Opcode.of_mnemonic mnemonic with
-    | Some oc -> oc
-    | None -> fail "Asm: unknown mnemonic %S" mnemonic
-  in
-  let pos, trailers = split_trailers operands in
-  let op =
-    match (Opcode.kind opcode, pos) with
-    | Opcode.K_alu, [ d; s1; s2 ] ->
-        Op.alu ~spec ~pred
-          ~bhwx:(t_int trailers "bhwx" ~default:2)
-          ~l1:(t_bool trailers "l1") ~opcode
-          ~src1:(snd (parse_reg (Some Reg.Gpr) s1))
-          ~src2:(snd (parse_reg (Some Reg.Gpr) s2))
-          ~dest:(snd (parse_reg (Some Reg.Gpr) d))
-          ()
-    | Opcode.K_cmpp, [ d; s1; s2 ] ->
-        Op.cmpp ~spec ~pred
-          ~bhwx:(t_int trailers "bhwx" ~default:2)
-          ~d1:(t_int trailers "d1" ~default:0)
-          ~l1:(t_bool trailers "l1") ~opcode
-          ~src1:(snd (parse_reg (Some Reg.Gpr) s1))
-          ~src2:(snd (parse_reg (Some Reg.Gpr) s2))
-          ~dest:(snd (parse_reg (Some Reg.Pr) d))
-          ()
-    | Opcode.K_ldi, [ d; imm ] ->
-        Op.ldi ~spec ~pred ~l1:(t_bool trailers "l1") ~imm:(parse_imm imm)
-          ~dest:(snd (parse_reg (Some Reg.Gpr) d))
-          ()
-    | Opcode.K_fpu, [ d; s1; s2 ] ->
-        Op.fpu ~spec ~pred ~sd:(t_bool trailers "sd")
-          ~tss:(t_int trailers "tss" ~default:0)
-          ~l1:(t_bool trailers "l1") ~opcode
-          ~src1:(snd (parse_reg None s1))
-          ~src2:(snd (parse_reg (Some Reg.Fpr) s2))
-          ~dest:(snd (parse_reg None d))
-          ()
-    | Opcode.K_load, [ d; mem ] ->
-        let dcls, dest = parse_reg None d in
-        let tcs_default = if dcls = Reg.Fpr then 1 else 0 in
-        Op.load ~spec ~pred
-          ~bhwx:(t_int trailers "bhwx" ~default:2)
-          ~scs:(t_int trailers "scs" ~default:0)
-          ~tcs:(t_int trailers "tcs" ~default:tcs_default)
-          ~lat:(t_int trailers "lat" ~default:2)
-          ~opcode ~src1:(parse_mem mem) ~dest ()
-    | Opcode.K_store, [ mem; s ] ->
-        let scls, src2 = parse_reg None s in
-        let tcs_default = if scls = Reg.Fpr then 1 else 0 in
-        Op.store ~spec ~pred
-          ~bhwx:(t_int trailers "bhwx" ~default:2)
-          ~tcs:(t_int trailers "tcs" ~default:tcs_default)
-          ~opcode ~src1:(parse_mem mem) ~src2 ()
-    | Opcode.K_branch, pos -> (
-        match (opcode, pos) with
-        | Opcode.RET, [] ->
-            Op.branch ~spec ~pred
-              ~src1:(t_reg trailers "link" ~default:0)
-              ~counter:(t_reg trailers "ctr" ~default:0)
-              ~opcode
-              ~target:(t_int trailers "target" ~default:0)
-              ()
-        | Opcode.BRL, [ bb ] ->
-            Op.branch ~spec ~pred
-              ~src1:(t_reg trailers "link" ~default:0)
-              ~counter:(t_reg trailers "ctr" ~default:0)
-              ~opcode ~target:(parse_block_ref bb) ()
-        | _, [ bb ] ->
-            Op.branch ~spec ~pred
-              ~src1:(t_reg trailers "src1" ~default:0)
-              ~counter:(t_reg trailers "ctr" ~default:0)
-              ~opcode ~target:(parse_block_ref bb) ()
-        | _ -> fail "Asm: bad branch operands in %S" line)
-    | _, _ -> fail "Asm: wrong operand count in %S" line
-  in
-  Op.with_tail tail op
-
-let parse_program text =
-  let lines = String.split_on_char '\n' text in
-  let blocks : (int * Op.t list list) list ref = ref [] in
-  let cur_id = ref (-1) in
-  let cur_mops : Op.t list list ref = ref [] in
-  let cur_ops : Op.t list ref = ref [] in
-  let close_block () =
-    if !cur_id >= 0 then begin
-      if !cur_ops <> [] then fail "Asm: block bb%d ends mid-MOP (missing ;;)" !cur_id;
-      blocks := (!cur_id, List.rev !cur_mops) :: !blocks;
-      cur_mops := [];
-      cur_ops := []
-    end
-  in
-  List.iter
-    (fun raw ->
-      let line = String.trim (strip_comment raw) in
-      if line = "" then ()
-      else if String.length line > 2 && String.sub line 0 2 = "bb"
-              && line.[String.length line - 1] = ':' then begin
-        close_block ();
-        cur_id :=
-          (try int_of_string (String.sub line 2 (String.length line - 3))
-           with _ -> fail "Asm: bad label %S" line)
-      end
-      else begin
-        if !cur_id < 0 then fail "Asm: op before any block label: %S" line;
-        let op = parse_op line in
-        cur_ops := op :: !cur_ops;
-        if op.Op.tail then begin
-          cur_mops := List.rev !cur_ops :: !cur_mops;
-          cur_ops := []
-        end
-      end)
-    lines;
-  close_block ();
-  let blist =
-    List.rev_map
-      (fun (id, mops) -> { Program.id; mops = List.map Mop.make mops })
-      !blocks
-  in
-  (* Program name is not part of the listing grammar. *)
-  Program.make ~name:"parsed" blist

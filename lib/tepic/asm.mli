@@ -1,35 +1,27 @@
-(** Textual TEPIC assembly — the TINKER-assembler substitute.
-
-    A regular, line-oriented syntax that round-trips exactly:
-    [parse_program (print_program p)] reconstructs [p] bit-for-bit.
+(** Textual TEPIC assembly listing — the output side of the TINKER
+    assembler: [cccs disasm] prints it.  Nothing reads it back; the
+    program's bits are [Encode]'s.
 
     {v
-    # program fir (5 blocks)
+    # program demo (2 blocks, 5 ops)
     bb0:
-      ldi r9, #1024
-      ldi r10, #2048 ;;
-    bb2:
-      (p3) <s> add r5, r5, r8
-      lw r6, [r3] lat=2
-      brlc bb2 ctr=r2 ;;
+      ldi r0, #1024
+      ldi r5, #255 ;;
+    bb1:
+      (p3) <s> add r7, r7, r3
+      lw r10, [r7] lat=3
+      brlc bb1 ctr=r9 ;;
     v}
 
     One op per line; [;;] marks the end of a MOP (the tail bit); [(pN)]
     is the guard predicate; [<s>] the speculative bit; [key=val] trailers
     carry the format's minor fields when they differ from their
     constructor defaults.  FP memory ops print their FPR operand directly
-    ([lw f3, [r1]] means TCS = 1). *)
+    ([lw f3, [r1]] means TCS = 1).  Every field of an op shows in its
+    line: two ops that differ in one field print differently. *)
 
 (** [print_op op] — one line, without the newline. *)
 val print_op : Op.t -> string
 
 (** [print_program p] — full listing with block labels. *)
 val print_program : Program.t -> string
-
-(** [parse_op line] — parse a single op line (tail bit from [;;]).
-    Raises [Failure] with a location-free diagnostic on malformed input. *)
-val parse_op : string -> Op.t
-
-(** [parse_program text] — inverse of {!print_program}.
-    Raises [Failure] on malformed input. *)
-val parse_program : string -> Program.t

@@ -141,13 +141,6 @@ let by_code =
 let of_code ty c =
   if c < 0 || c >= 32 then None else by_code.((optype_code ty * 32) + c)
 
-let of_mnemonic m =
-  let rec go = function
-    | [] -> None
-    | (op, _, _, _, m') :: rest -> if m = m' then Some op else go rest
-  in
-  go table
-
 let optype_of_code = function
   | 0 -> Int
   | 1 -> Float

@@ -72,6 +72,5 @@ val is_branch : t -> bool
 val is_conditional : t -> bool
 
 val mnemonic : t -> string
-val of_mnemonic : string -> t option
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

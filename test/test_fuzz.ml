@@ -190,9 +190,9 @@ let test_write_fixture () =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () ->
       Alcotest.(check bool) "json fixture exists" true (Sys.file_exists path);
-      Alcotest.(check bool)
-        "ml snippet exists" true
-        (Sys.file_exists (Filename.chop_suffix path ".json" ^ ".ml"));
+      Alcotest.(check (array string))
+        "the JSON fixture is the one file" [| Filename.basename path |]
+        (Sys.readdir dir);
       (* The emitted fixture must itself replay. *)
       replay_fixture path;
       (* Same finding, same filename: campaigns overwrite, never pile up. *)
@@ -218,6 +218,19 @@ let test_report_json_shape () =
       Alcotest.(check bool) "ok mirrors findings" (r.F.findings = []) b
   | _ -> Alcotest.fail "missing ok"
 
+(* [jobs] reports the pool that ran, not the one asked for: 3 cases
+   never keep more than 3 domains busy, nor more than the machine has. *)
+let test_report_jobs_used () =
+  let r = F.run { small_spec with F.runs = 3; jobs = Some 64 } in
+  let jobs =
+    match Json.member "jobs" (F.report_to_json r) with
+    | Some (Json.Num n) -> int_of_float n
+    | _ -> Alcotest.fail "missing jobs"
+  in
+  Alcotest.(check bool) "at most 3 jobs" true (jobs <= 3);
+  Alcotest.(check bool) "at most the cores" true
+    (jobs <= Cccs.Parallel.cores ())
+
 let suite =
   [
     Alcotest.test_case "determinism across jobs" `Quick
@@ -229,4 +242,6 @@ let suite =
     Alcotest.test_case "checked-in fixtures replay" `Quick test_fixture_replay;
     Alcotest.test_case "write_fixture" `Quick test_write_fixture;
     Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
+    Alcotest.test_case "report jobs is the pool that ran" `Quick
+      test_report_jobs_used;
   ]

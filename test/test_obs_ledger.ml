@@ -1,6 +1,6 @@
 (* Cross-run observability: ledger round-trip and corruption handling,
    Compare verdict behaviour (the perfdiff exit contract at library
-   level), and Flame self-time accounting. *)
+   level), and Flame self-time accounting and export. *)
 
 open Cccs_obs
 
@@ -310,7 +310,7 @@ let test_flame_real_pipeline () =
   let r = Cccs.Workload_run.load ~obs:(Recorder.sink rc) e in
   ignore r;
   Cccs.Workload_run.clear_cache ();
-  let nodes = Flame.of_recorder rc in
+  let nodes = Flame.of_events (Recorder.events rc) in
   Alcotest.(check bool) "has spans" true (nodes <> []);
   let total = Flame.total_us nodes in
   let collapsed = Flame.collapsed nodes in
@@ -337,64 +337,29 @@ let test_flame_real_pipeline () =
       (100. *. err)
 
 let test_flame_chrome_parses () =
-  let events = [| span Event.Lower "x" 0. 10. |] in
-  let j = Flame.chrome_json (Flame.of_events events) in
-  match Json.parse (Json.to_string j) with
-  | Ok _ -> ()
+  (* A --flame FILE.json holds the spans as a Chrome trace: each span is
+     named by its label, with its stage as cat. *)
+  let path = tmp_path ".json" in
+  Flame.write ~path [| span Event.Schedule "x" 2. 10. |];
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  match Json.parse text with
   | Error e -> Alcotest.failf "chrome trace does not reparse: %s" e
-
-(* ------------------------------------------------------------------ *)
-(* Histogram merge *)
-
-let test_merge_exact () =
-  let a = Histogram.create () and b = Histogram.create () in
-  List.iter (Histogram.observe a) [ 1; 5; 900; 32 ];
-  List.iter (Histogram.observe b) [ 0; 7; 123456 ];
-  let m = Histogram.merge a b in
-  Alcotest.(check int) "count" 7 (Histogram.count m);
-  Alcotest.(check int) "sum" (1 + 5 + 900 + 32 + 0 + 7 + 123456)
-    (Histogram.sum m);
-  Alcotest.(check int) "min" 0 (Histogram.min_value m);
-  Alcotest.(check int) "max" 123456 (Histogram.max_value m);
-  let ca = Histogram.bucket_counts a
-  and cb = Histogram.bucket_counts b
-  and cm = Histogram.bucket_counts m in
-  Array.iteri
-    (fun i n -> Alcotest.(check int) "bucket adds" (ca.(i) + cb.(i)) n)
-    cm;
-  (* empty merge is the identity on all counters *)
-  let m0 = Histogram.merge a (Histogram.create ()) in
-  Alcotest.(check int) "empty merge count" (Histogram.count a)
-    (Histogram.count m0);
-  Alcotest.(check int) "empty merge min" (Histogram.min_value a)
-    (Histogram.min_value m0)
-
-(* Property: for every quantile q, the merged histogram's percentile lies
-   within the bucket bounds of the pooled samples' true order statistic —
-   merging loses no more resolution than a single histogram has. *)
-let merge_percentile_prop =
-  let gen = QCheck.(pair (list_of_size Gen.(1 -- 40) (0 -- 100_000))
-                      (list_of_size Gen.(1 -- 40) (0 -- 100_000))) in
-  QCheck.Test.make ~count:200 ~name:"merged percentiles bound pooled" gen
-    (fun (xs, ys) ->
-      QCheck.assume (xs <> [] || ys <> []);
-      let a = Histogram.create () and b = Histogram.create () in
-      List.iter (Histogram.observe a) xs;
-      List.iter (Histogram.observe b) ys;
-      let m = Histogram.merge a b in
-      let pooled = Array.of_list (xs @ ys) in
-      Array.sort compare pooled;
-      let n = Array.length pooled in
-      List.for_all
-        (fun q ->
-          let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
-          let true_v = pooled.(rank - 1) in
-          let est = Histogram.percentile m q in
-          let b = Histogram.bucket_of true_v in
-          let lo = float_of_int (Histogram.bucket_lo b)
-          and hi = float_of_int (Histogram.bucket_hi b) in
-          est >= lo && est <= hi)
-        [ 0.5; 0.9; 0.99 ])
+  | Ok j ->
+      let spans =
+        List.filter
+          (fun e -> Json.member "ph" e = Some (Json.Str "X"))
+          (Option.value ~default:[]
+             (Option.bind (Json.member "traceEvents" j) Json.to_list))
+      in
+      Alcotest.(check (list (pair string string)))
+        "one span, named by its label" [ ("x", "schedule") ]
+        (List.map
+           (fun e ->
+             match (Json.member "name" e, Json.member "cat" e) with
+             | Some (Json.Str n), Some (Json.Str c) -> (n, c)
+             | _ -> Alcotest.fail "span without name or cat")
+           spans)
 
 let suite =
   [
@@ -416,8 +381,6 @@ let suite =
       test_flame_real_pipeline;
     Alcotest.test_case "flame chrome trace parses" `Quick
       test_flame_chrome_parses;
-    Alcotest.test_case "histogram merge exact" `Quick test_merge_exact;
-    QCheck_alcotest.to_alcotest merge_percentile_prop;
     Alcotest.test_case "ledger record" `Quick test_record;
     Alcotest.test_case "compare skips samples in another unit" `Quick
       test_samples_in_other_unit;
